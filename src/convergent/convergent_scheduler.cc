@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <optional>
 
 #include "convergent/pass_registry.hh"
 #include "convergent/preference_matrix.hh"
@@ -13,9 +14,12 @@
 
 namespace csched {
 
+namespace {
+
+/** The Section-3 invariants of one row; see checkWeightInvariants. */
 Status
-checkWeightInvariants(const PreferenceMatrix &weights,
-                      const std::string &pass)
+checkRowInvariants(const PreferenceMatrix &weights, InstrId i,
+                   const std::string &pass)
 {
     // Per-weight slack for accumulated rounding; the row-sum check
     // gets a little more because it sums num_times * num_clusters
@@ -23,30 +27,54 @@ checkWeightInvariants(const PreferenceMatrix &weights,
     constexpr double kSlack = 1e-9;
     constexpr double kSumSlack = 1e-6;
 
-    const auto fail = [&pass](InstrId i, const std::string &what) {
+    const auto fail = [&pass, i](const std::string &what) {
         return Status::checkFailed(
             "pass '" + pass + "' broke the weight invariants: " +
             what + " (instruction " + std::to_string(i) + ")");
     };
 
-    for (InstrId i = 0; i < weights.numInstructions(); ++i) {
-        // Slots outside the row's feasible window are exactly zero by
-        // construction, so checking the window checks the whole row.
-        const auto row = weights.row(i);
-        double sum = 0.0;
-        for (int c = 0; c < weights.numClusters(); ++c) {
-            for (const double w : row.windowSpan(c)) {
-                if (!std::isfinite(w))
-                    return fail(i, "non-finite weight");
-                if (w < -kSlack || w > 1.0 + kSlack)
-                    return fail(i, "weight " + std::to_string(w) +
-                                       " outside [0, 1]");
-                sum += w;
-            }
+    // Slots outside the row's feasible window are exactly zero by
+    // construction, so checking the window checks the whole row.
+    const auto row = weights.row(i);
+    double sum = 0.0;
+    for (int c = 0; c < weights.numClusters(); ++c) {
+        for (const double w : row.windowSpan(c)) {
+            if (!std::isfinite(w))
+                return fail("non-finite weight");
+            if (w < -kSlack || w > 1.0 + kSlack)
+                return fail("weight " + std::to_string(w) +
+                            " outside [0, 1]");
+            sum += w;
         }
-        if (std::abs(sum - 1.0) > kSumSlack)
-            return fail(i, "row sums to " + std::to_string(sum) +
-                               ", not 1");
+    }
+    if (std::abs(sum - 1.0) > kSumSlack)
+        return fail("row sums to " + std::to_string(sum) + ", not 1");
+    return Status();
+}
+
+} // namespace
+
+Status
+checkWeightInvariants(const PreferenceMatrix &weights,
+                      const std::string &pass)
+{
+    for (InstrId i = 0; i < weights.numInstructions(); ++i) {
+        Status status = checkRowInvariants(weights, i, pass);
+        if (!status.ok())
+            return status;
+    }
+    return Status();
+}
+
+Status
+checkWeightInvariants(const PreferenceMatrix &weights,
+                      std::span<const InstrId> rows,
+                      const std::string &pass)
+{
+    for (const InstrId i : rows) {
+        Status status = checkRowInvariants(weights, i, pass);
+        if (!status.ok())
+            return status;
     }
     return Status();
 }
@@ -54,9 +82,14 @@ checkWeightInvariants(const PreferenceMatrix &weights,
 ConvergentScheduler::ConvergentScheduler(const MachineModel &machine,
                                          const std::string &sequence,
                                          PassParams params)
-    : machine_(machine),
-      passes_(parsePassSequence(sequence)),
-      params_(params)
+    : ConvergentScheduler(machine, parsePassSequence(sequence), params)
+{
+}
+
+ConvergentScheduler::ConvergentScheduler(
+    const MachineModel &machine, std::vector<std::unique_ptr<Pass>> passes,
+    PassParams params)
+    : machine_(machine), passes_(std::move(passes)), params_(params)
 {
 }
 
@@ -107,37 +140,39 @@ ConvergentScheduler::schedule(const DependenceGraph &graph) const
                             {}};
 
     std::vector<int> before = weights.preferredClusters();
-    // The rollback snapshot lives outside the pass loop so that each
-    // iteration copy-assigns into the same allocation; on large units
-    // the matrix arena runs to hundreds of megabytes, and re-mallocing
-    // (and re-faulting) it per pass would dominate the pipeline.
-    PreferenceMatrix snapshot = weights;
     for (const auto &pass : passes_) {
         checkpoint("pass.apply");
         // Pass-level graceful degradation (the paper's Section-4
         // claim that the composition tolerates individual passes
-        // misbehaving): snapshot the matrix, and if the pass throws
-        // or leaves invariants that one renormalization cannot heal,
-        // roll the matrix back and continue without the pass -- the
-        // step is marked "skipped" in the trace.  Cooperative
+        // misbehaving): log the rows the pass touches, and if the pass
+        // throws or leaves invariants that one renormalization cannot
+        // heal, roll those rows back and continue without the pass --
+        // the step is marked "skipped" in the trace.  Cooperative
         // cancellation (deadline, shutdown) must still unwind: a
         // skipped pass is a degraded schedule, a missed deadline is
         // not.
-        snapshot = weights;
+        weights.beginUndo();
         const auto begin = std::chrono::steady_clock::now();
+        std::optional<std::chrono::steady_clock::time_point> end;
         std::string skip_reason;
         try {
             pass->run(ctx);
+            end = std::chrono::steady_clock::now();
             // Deterministic stand-in for a throwing pass (tests).
             faultPoint("pass.body");
-            // Guard the Section-3 invariants after every pass.  A
-            // pass that scaled without normalizing is healed by one
-            // renormalization; anything normalization cannot restore
+            // Guard the Section-3 invariants after every pass.  Rows
+            // the pass did not touch still hold the invariants they
+            // were last checked with, so the touched rows are the
+            // whole check.  A pass that scaled without normalizing is
+            // healed by one renormalization (which logs every row it
+            // rescales); anything normalization cannot restore
             // (non-finite weights) gets the pass rolled back.
-            if (!checkWeightInvariants(weights, pass->name()).ok()) {
+            if (!checkWeightInvariants(weights, weights.touchedRows(),
+                                       pass->name())
+                     .ok()) {
                 weights.normalizeAll();
-                const Status recheck =
-                    checkWeightInvariants(weights, pass->name());
+                const Status recheck = checkWeightInvariants(
+                    weights, weights.touchedRows(), pass->name());
                 if (!recheck.ok())
                     throw StatusError(recheck);
             }
@@ -149,24 +184,29 @@ ConvergentScheduler::schedule(const DependenceGraph &graph) const
         } catch (const std::exception &error) {
             skip_reason = error.what();
         }
+        if (!end.has_value())
+            end = std::chrono::steady_clock::now();
         if (!skip_reason.empty()) {
-            weights = snapshot;
+            weights.rollback();
             CSCHED_WARN("pass '", pass->name(),
                         "' skipped (matrix rolled back): ",
                         skip_reason);
         }
-        const auto end = std::chrono::steady_clock::now();
-        const std::vector<int> after = weights.preferredClusters();
+        // A row no pass touched cannot change its preferred cluster;
+        // after a rollback no row counts as touched.
         int changed = 0;
-        for (InstrId i = 0; i < n; ++i)
-            if (after[i] != before[i])
+        for (const InstrId i : weights.touchedRows()) {
+            const int after = weights.preferredCluster(i);
+            if (after != before[i]) {
+                before[i] = after;
                 ++changed;
+            }
+        }
         result.trace.push_back(
             {pass->name(), static_cast<double>(changed) / n,
              pass->temporalOnly(),
-             std::chrono::duration<double>(end - begin).count(),
+             std::chrono::duration<double>(*end - begin).count(),
              !skip_reason.empty()});
-        before = after;
     }
 
     // Extract the assignment: preferred cluster, with preplaced

@@ -14,6 +14,7 @@
 #define CSCHED_CONVERGENT_CONVERGENT_SCHEDULER_HH
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,15 +28,25 @@ namespace csched {
 class PreferenceMatrix;
 
 /**
- * Verify the paper's Section-3 matrix invariants after a pass: every
- * weight finite and in [0, 1], every instruction row summing to 1.
- * Returns a CheckFailed Status naming @p pass on the first violation.
- * The scheduler calls this after every pass; on violation it
- * renormalizes once (the legitimate fix for a pass that scaled without
- * normalizing) and fails the job only if the invariants still do not
- * hold (non-finite weights, which normalization cannot heal).
+ * Verify the paper's Section-3 matrix invariants over the whole
+ * matrix: every weight finite and in [0, 1], every instruction row
+ * summing to 1.  Returns a CheckFailed Status naming @p pass on the
+ * first violation.
  */
 Status checkWeightInvariants(const PreferenceMatrix &weights,
+                             const std::string &pass);
+
+/**
+ * The same check over @p rows only.  The scheduler calls this after
+ * every pass with the rows the pass touched (the matrix's undo log):
+ * an untouched row keeps the invariants it was last checked with.  On
+ * violation it renormalizes once (the legitimate fix for a pass that
+ * scaled without normalizing), checks the touched rows again, and
+ * rolls the pass back only if the invariants still do not hold
+ * (non-finite weights, which normalization cannot heal).
+ */
+Status checkWeightInvariants(const PreferenceMatrix &weights,
+                             std::span<const InstrId> rows,
                              const std::string &pass);
 
 /** Everything a convergent-scheduling run produces. */
@@ -57,6 +68,11 @@ class ConvergentScheduler
      */
     ConvergentScheduler(const MachineModel &machine,
                         const std::string &sequence,
+                        PassParams params = PassParams());
+
+    /** Create a scheduler from an already-built pass pipeline. */
+    ConvergentScheduler(const MachineModel &machine,
+                        std::vector<std::unique_ptr<Pass>> passes,
                         PassParams params = PassParams());
 
     /**

@@ -40,6 +40,8 @@ PreferenceMatrix::PreferenceMatrix(int num_instrs, int num_times,
     spaceValid_.assign(num_instrs, 0);
     timeValid_.assign(num_instrs, 0);
     clean_.assign(num_instrs, 0);
+    pristine_.assign(num_instrs, 1);
+    logged_.assign(num_instrs, 0);
 }
 
 void
@@ -76,6 +78,76 @@ PreferenceMatrix::markMutated(InstrId i)
     spaceValid_[i] = 0;
     timeValid_[i] = 0;
     clean_[i] = 0;
+}
+
+void
+PreferenceMatrix::logPreImage(InstrId i)
+{
+    // Weights first, then the record, then the flag: a throwing
+    // allocation leaves no record pointing at missing weights.
+    const size_t offset = undoData_.size();
+    if (!pristine_[i]) {
+        for (int c = 0; c < numClusters_; ++c) {
+            const double *b = block(i, c);
+            undoData_.insert(undoData_.end(), b + winLo_[i], b + winHi_[i]);
+        }
+    }
+    undo_.push_back({winLo_[i], winHi_[i], clean_[i], pristine_[i], offset});
+    touched_.push_back(i);
+    logged_[i] = 1;
+}
+
+void
+PreferenceMatrix::beginUndo()
+{
+    for (const InstrId i : touched_)
+        logged_[i] = 0;
+    touched_.clear();
+    undo_.clear();
+    undoData_.clear();
+    // A scope logs each row at most once, and never more than its
+    // window, so the arena's size bounds the log.  Reserving it up
+    // front avoids the reallocation copies (and their transient
+    // double footprint) of a log grown by doubling; pages the log
+    // never writes are never committed.
+    undoData_.reserve(arena_.size());
+    undoOpen_ = true;
+}
+
+void
+PreferenceMatrix::rollback()
+{
+    const double uniform = 1.0 / static_cast<double>(rowStride_);
+    for (size_t k = 0; k < touched_.size(); ++k) {
+        const InstrId i = touched_[k];
+        const UndoRecord &saved = undo_[k];
+        if (saved.pristine) {
+            double *r = rowData(i);
+            std::fill(r, r + rowStride_, uniform);
+        } else {
+            // The current window may be wider than the saved one (set
+            // and blend widen): clear it, so every slot outside the
+            // restored window is +0.0 again.
+            const double *from = undoData_.data() + saved.offset;
+            const int width = saved.hi - saved.lo;
+            for (int c = 0; c < numClusters_; ++c) {
+                double *b = block(i, c);
+                std::fill(b + winLo_[i], b + winHi_[i], 0.0);
+                std::copy(from, from + width, b + saved.lo);
+                from += width;
+            }
+        }
+        winLo_[i] = saved.lo;
+        winHi_[i] = saved.hi;
+        clean_[i] = saved.clean;
+        pristine_[i] = saved.pristine;
+        spaceValid_[i] = 0;
+        timeValid_[i] = 0;
+        logged_[i] = 0;
+    }
+    touched_.clear();
+    undo_.clear();
+    undoData_.clear();
 }
 
 void
@@ -129,6 +201,7 @@ PreferenceMatrix::rowSet(InstrId i, int t, int c, double value)
 {
     checkIndex(i, t, c);
     CSCHED_ASSERT(value >= 0.0, "negative weight ", value);
+    willMutate(i);
     block(i, c)[t] = value;
     if (value != 0.0) {
         // Widen the feasible window; the gap slots are already zero.
@@ -143,6 +216,7 @@ PreferenceMatrix::rowScaleSlot(InstrId i, int t, int c, double factor)
 {
     checkIndex(i, t, c);
     CSCHED_ASSERT(factor >= 0.0, "negative factor ", factor);
+    willMutate(i);
     block(i, c)[t] *= factor;
     markMutated(i);
 }
@@ -152,6 +226,7 @@ PreferenceMatrix::rowScaleCluster(InstrId i, int c, double factor)
 {
     checkIndex(i, 0, c);
     CSCHED_ASSERT(factor >= 0.0, "negative factor ", factor);
+    willMutate(i);
     const int lo = winLo_[i];
     const int hi = winHi_[i];
     double *b = block(i, c);
@@ -177,6 +252,7 @@ void
 PreferenceMatrix::rowScaleClusters(InstrId i, const double *factors)
 {
     checkInstr(i);
+    willMutate(i);
     const int lo = winLo_[i];
     const int hi = winHi_[i];
     const bool keep_space = spaceValid_[i] != 0;
@@ -206,6 +282,7 @@ PreferenceMatrix::rowScaleTime(InstrId i, int t, double factor)
 {
     checkIndex(i, t, 0);
     CSCHED_ASSERT(factor >= 0.0, "negative factor ", factor);
+    willMutate(i);
     double *r = rowData(i);
     for (int c = 0; c < numClusters_; ++c)
         r[static_cast<size_t>(c) * numTimes_ + t] *= factor;
@@ -223,6 +300,7 @@ void
 PreferenceMatrix::rowZeroCluster(InstrId i, int c)
 {
     checkIndex(i, 0, c);
+    willMutate(i);
     double *b = block(i, c);
     std::fill(b + winLo_[i], b + winHi_[i], 0.0);
     if (spaceValid_[i])
@@ -235,6 +313,7 @@ void
 PreferenceMatrix::rowRestrictTimeWindow(InstrId i, int lo, int hi)
 {
     checkInstr(i);
+    willMutate(i);
     lo = std::max(lo, 0);
     hi = std::min(hi, numTimes_);
     const int new_lo = std::max(winLo_[i], lo);
@@ -266,6 +345,7 @@ PreferenceMatrix::rowAddPositiveNoise(InstrId i, Rng &rng,
 {
     checkInstr(i);
     CSCHED_ASSERT(amplitude >= 0.0, "negative amplitude ", amplitude);
+    willMutate(i);
     const int lo = winLo_[i];
     const int hi = winHi_[i];
     double *r = rowData(i);
@@ -289,6 +369,7 @@ PreferenceMatrix::rowBlendFrom(InstrId i, InstrId other, double w)
     checkInstr(other);
     CSCHED_ASSERT(w >= 0.0 && w <= 1.0, "blend weight ", w,
                   " outside [0, 1]");
+    willMutate(i);
     // The blended row can pick up mass anywhere the source has some:
     // widen to the union of the two windows.
     const int lo = std::min(winLo_[i], winLo_[other]);
@@ -313,6 +394,7 @@ PreferenceMatrix::rowNormalize(InstrId i)
         // the post-normalize sum, so rescanning cannot improve it.
         return;
     }
+    willMutate(i);
     const int lo = winLo_[i];
     const int hi = winHi_[i];
     double *r = rowData(i);

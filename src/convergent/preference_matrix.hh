@@ -53,6 +53,17 @@
  * time marginals ascend c per slot, normalize ascends t-major), so
  * the rewrite is bit-identical by construction, not just
  * approximately equal.
+ *
+ * Undo log.  beginUndo() opens a scope in which every mutating kernel
+ * saves its row's pre-image the first time it touches the row: the
+ * window bounds, the window's weights per cluster, and the clean
+ * flag.  (normalize() on a row that is already clean writes nothing
+ * and logs nothing.)  A row still in its constructed uniform state is
+ * logged as a flag only, so the first pass over a fresh matrix copies
+ * no weights.  rollback() restores exactly the logged rows, and
+ * touchedRows() names them, so the scheduler's pass guard, rollback
+ * and convergence count cost what the pass touched rather than the
+ * whole matrix.
  */
 
 #ifndef CSCHED_CONVERGENT_PREFERENCE_MATRIX_HH
@@ -144,6 +155,21 @@ class PreferenceMatrix
     /** Preferred time of every instruction. */
     std::vector<int> preferredTimes() const;
 
+    /**
+     * Open a new undo scope: drop the previous scope's log, then log
+     * each row's pre-image the first time a mutation touches it.
+     */
+    void beginUndo();
+
+    /**
+     * Restore every row touched since beginUndo() -- weights, window
+     * and clean flag -- and empty the log.  The scope stays open.
+     */
+    void rollback();
+
+    /** Rows touched since beginUndo(), each once, in first-touch order. */
+    const std::vector<InstrId> &touchedRows() const { return touched_; }
+
   private:
     friend class RowView;
     friend class ConstRowView;
@@ -180,6 +206,19 @@ class PreferenceMatrix
     /** A mutation touched row @p i: caches stale, row not normalized. */
     void markMutated(InstrId i);
 
+    /**
+     * Every mutating kernel calls this before it writes row @p i: logs
+     * the pre-image on the row's first touch in an open undo scope.
+     */
+    void
+    willMutate(InstrId i)
+    {
+        if (undoOpen_ && !logged_[i])
+            logPreImage(i);
+        pristine_[i] = 0;
+    }
+    void logPreImage(InstrId i);
+
     void refreshSpace(InstrId i) const;
     void refreshTime(InstrId i) const;
 
@@ -205,8 +244,7 @@ class PreferenceMatrix
      * per row.  The marginal caches share a second flat allocation
      * (mutable, so const readers can refresh lazily): N*C space sums
      * followed by N*T time sums.  Offsets (not pointers) keep the
-     * class default-copyable, which the scheduler's
-     * snapshot/rollback protocol relies on.
+     * class default-copyable.
      */
     std::vector<double> arena_;
     mutable std::vector<double> cache_;
@@ -224,6 +262,25 @@ class PreferenceMatrix
     mutable std::vector<uint8_t> spaceValid_;
     mutable std::vector<uint8_t> timeValid_;
     std::vector<uint8_t> clean_;
+
+    /** Per row: 1 while the row still holds its constructed weights. */
+    std::vector<uint8_t> pristine_;
+
+    /** One logged pre-image; its weights sit in undoData_ at offset. */
+    struct UndoRecord
+    {
+        int lo;
+        int hi;
+        uint8_t clean;
+        uint8_t pristine; ///< no weights stored: refill with uniform
+        size_t offset;
+    };
+
+    bool undoOpen_ = false;
+    std::vector<uint8_t> logged_;  ///< per row: pre-image in the log
+    std::vector<InstrId> touched_; ///< logged rows, first-touch order
+    std::vector<UndoRecord> undo_; ///< parallel to touched_
+    std::vector<double> undoData_; ///< logged windows, cluster by cluster
 };
 
 /**

@@ -37,7 +37,10 @@ struct PassStep
     double fractionChanged = 0.0;
     /** True when the pass only modifies temporal preferences. */
     bool temporalOnly = false;
-    /** Wall-clock seconds spent inside the pass. */
+    /**
+     * Wall-clock seconds spent inside the pass body; the invariant
+     * guard, any rollback and the convergence count are not charged.
+     */
     double seconds = 0.0;
     /**
      * True when the pass misbehaved (threw, or broke the weight

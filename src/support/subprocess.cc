@@ -1,5 +1,6 @@
 #include "support/subprocess.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -16,10 +17,20 @@ namespace {
 using SteadyClock = std::chrono::steady_clock;
 
 /**
+ * The least time the rest of a frame gets once its first byte has
+ * arrived.  Callers poll with short idle ticks (csched_serve: 200 ms),
+ * and a tick that expired mid-frame would otherwise leave the rest of
+ * the frame in the stream to be misread as the next length prefix.
+ */
+constexpr int kFrameCompletionMs = 1000;
+
+/**
  * Read exactly @p want bytes, polling so the overall @p deadline (a
  * time point; nullopt = none) bounds the wait even when the peer
- * stalls mid-frame.  Returns the number of bytes read (< want only on
- * EOF/timeout/error; *why distinguishes the latter two).
+ * stalls mid-frame.  Bytes already buffered are read even after the
+ * deadline has passed; the deadline bounds only waiting.  Returns the
+ * number of bytes read (< want only on EOF/timeout/error; *why
+ * distinguishes the latter two).
  */
 size_t
 readFull(int fd, char *out, size_t want,
@@ -30,15 +41,14 @@ readFull(int fd, char *out, size_t want,
     while (got < want) {
         if (deadline.has_value()) {
             const auto now = SteadyClock::now();
-            if (now >= *deadline) {
-                *why = "timeout";
-                return got;
-            }
-            const int wait_ms = static_cast<int>(
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    *deadline - now)
-                    .count() +
-                1);
+            const int wait_ms =
+                now >= *deadline
+                    ? 0
+                    : static_cast<int>(
+                          std::chrono::duration_cast<
+                              std::chrono::milliseconds>(*deadline - now)
+                              .count() +
+                          1);
             struct pollfd pfd = {fd, POLLIN, 0};
             const int ready = ::poll(&pfd, 1, wait_ms);
             if (ready < 0) {
@@ -110,15 +120,29 @@ readFrame(int fd, int timeout_ms, uint32_t max_bytes)
     FrameResult result;
     std::string why;
     char header[4];
-    const size_t header_got =
-        readFull(fd, header, sizeof(header), deadline, &why);
-    if (header_got == 0 && why == "eof") {
-        result.kind = FrameResult::Kind::Eof;
+    // Only the wait for a frame's first byte is idle time the caller's
+    // deadline may cut short (Timeout).  Once a frame has begun, the
+    // rest gets at least kFrameCompletionMs, and a stall is a broken
+    // peer (Malformed): reporting it as Timeout would send the caller
+    // back to read the frame's remainder as a new length prefix.
+    size_t header_got = readFull(fd, header, 1, deadline, &why);
+    if (header_got == 0) {
+        result.kind = why == "eof"       ? FrameResult::Kind::Eof
+                      : why == "timeout" ? FrameResult::Kind::Timeout
+                                         : FrameResult::Kind::Malformed;
+        if (result.kind != FrameResult::Kind::Eof)
+            result.error =
+                "truncated frame length (0 of 4 bytes, " + why + ")";
         return result;
     }
+    if (deadline.has_value())
+        deadline = SteadyClock::now() +
+                   std::chrono::milliseconds(
+                       std::max(timeout_ms, kFrameCompletionMs));
+    header_got += readFull(fd, header + 1, sizeof(header) - 1, deadline,
+                           &why);
     if (header_got < sizeof(header)) {
-        result.kind = why == "timeout" ? FrameResult::Kind::Timeout
-                                       : FrameResult::Kind::Malformed;
+        result.kind = FrameResult::Kind::Malformed;
         result.error = "truncated frame length (" +
                        std::to_string(header_got) + " of 4 bytes, " +
                        why + ")";
@@ -142,8 +166,7 @@ readFrame(int fd, int timeout_ms, uint32_t max_bytes)
         readFull(fd, result.payload.data(), length, deadline, &why);
     if (body_got < length) {
         result.payload.clear();
-        result.kind = why == "timeout" ? FrameResult::Kind::Timeout
-                                       : FrameResult::Kind::Malformed;
+        result.kind = FrameResult::Kind::Malformed;
         result.error = "truncated frame payload (" +
                        std::to_string(body_got) + " of " +
                        std::to_string(length) + " bytes, " + why + ")";

@@ -38,8 +38,8 @@ struct FrameResult
     enum class Kind {
         Payload,    ///< a complete frame was read
         Eof,        ///< clean end-of-stream before any length byte
-        Timeout,    ///< the deadline passed before a full frame arrived
-        Malformed,  ///< truncated frame or I/O error
+        Timeout,    ///< the deadline passed before a frame began
+        Malformed,  ///< truncated or stalled frame, or I/O error
         /**
          * The length prefix exceeds the caller's frame cap.  Kept
          * distinct from Malformed because the two call for different
@@ -70,9 +70,13 @@ Status writeFrame(int fd, const std::string &payload);
 
 /**
  * Read one frame from @p fd.  @p timeout_ms < 0 blocks indefinitely;
- * otherwise the whole frame must arrive within the budget (polled, so
- * a peer that stops mid-frame cannot hang the caller).  Never throws;
- * every failure mode comes back classified in the FrameResult.
+ * otherwise a frame must begin within the budget, or the call returns
+ * Timeout having consumed nothing.  Bytes already buffered are read
+ * even with a zero budget.  Once a frame's first byte has arrived, the
+ * rest gets max(@p timeout_ms, 1 s), polled, so a peer that stops
+ * mid-frame cannot hang the caller; such a stall is Malformed, never
+ * Timeout.  Never throws; every failure mode comes back classified in
+ * the FrameResult.
  */
 FrameResult readFrame(int fd, int timeout_ms = -1,
                       uint32_t max_bytes = kMaxFrameBytes);

@@ -7,8 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "convergent/convergent_scheduler.hh"
+#include "convergent/pass_registry.hh"
 #include "convergent/preference_matrix.hh"
 #include "convergent/sequences.hh"
 #include "ir/graph_algorithms.hh"
@@ -19,6 +24,8 @@
 #include "sched/schedule_checker.hh"
 #include "support/fault_injection.hh"
 #include "support/status.hh"
+#include "support/str.hh"
+#include "workloads/random_dag.hh"
 #include "workloads/workloads.hh"
 
 namespace csched {
@@ -181,8 +188,8 @@ TEST(ConvergentScheduler, ThrowingPassIsSkippedAndRolledBack)
     const auto scheduler = ConvergentScheduler::forMachine(vliw);
 
     // The third pass of the VLIW sequence (FIRST) throws mid-run; the
-    // scheduler must roll the preference matrix back to the pre-pass
-    // snapshot, mark the step skipped, and finish with the remaining
+    // scheduler must roll the preference matrix back to its pre-pass
+    // state, mark the step skipped, and finish with the remaining
     // passes.
     std::string error;
     const auto plan = FaultPlan::parse("pass.body=fail:nth=3", &error);
@@ -201,6 +208,123 @@ TEST(ConvergentScheduler, ThrowingPassIsSkippedAndRolledBack)
     // Rolled back means *no* preference movement is attributed to the
     // skipped pass.
     EXPECT_DOUBLE_EQ(result.trace[2].fractionChanged, 0.0);
+}
+
+/**
+ * A buggy pass: mutates every other row -- boosting the last cluster,
+ * widening the window with a late slot, renormalizing -- then throws.
+ */
+class HalfMutatingThrowingPass : public Pass
+{
+  public:
+    std::string name() const override { return "HALFTHROW"; }
+
+    void
+    run(PassContext &ctx) override
+    {
+        auto &weights = ctx.weights;
+        const int last = weights.numClusters() - 1;
+        for (InstrId i = 0; i < weights.numInstructions(); i += 2) {
+            auto row = weights.row(i);
+            row.scaleCluster(last, 50.0);
+            row.set(weights.numTimes() - 1, last, 0.5);
+            row.normalize();
+        }
+        throw std::runtime_error("pass bug after mutating half the rows");
+    }
+};
+
+/** Same schedule and trace, bar the skipped step @p skipped. */
+void
+expectSameAsWithout(const ConvergentResult &rolled_back,
+                    const ConvergentResult &without, size_t skipped,
+                    const std::string &what)
+{
+    EXPECT_EQ(rolled_back.assignment, without.assignment) << what;
+    EXPECT_EQ(rolled_back.preferredTime, without.preferredTime) << what;
+    EXPECT_EQ(rolled_back.schedule.makespan(),
+              without.schedule.makespan())
+        << what;
+    ASSERT_EQ(rolled_back.trace.size(), without.trace.size() + 1) << what;
+    for (size_t k = 0; k < rolled_back.trace.size(); ++k) {
+        const PassStep &step = rolled_back.trace[k];
+        EXPECT_EQ(step.skipped, k == skipped) << what << ", step " << k;
+        if (k == skipped) {
+            EXPECT_EQ(step.fractionChanged, 0.0) << what;
+            continue;
+        }
+        const PassStep &same = without.trace[k < skipped ? k : k - 1];
+        EXPECT_EQ(step.pass, same.pass) << what << ", step " << k;
+        EXPECT_EQ(step.fractionChanged, same.fractionChanged)
+            << what << ", step " << k;
+    }
+}
+
+TEST(ConvergentScheduler, ThrowingPassRollsBackToTheScheduleWithoutIt)
+{
+    const ClusteredVliwMachine vliw(4);
+    const auto graph = makeRandomDag({.numInstructions = 400,
+                                      .width = 16,
+                                      .banks = 4,
+                                      .preplaceClusters = 4,
+                                      .seed = 17});
+    const size_t position = 3;  // after INITTIME, NOISE, FIRST
+    auto passes = parsePassSequence(vliwPassSequence());
+    passes.insert(passes.begin() + position,
+                  std::make_unique<HalfMutatingThrowingPass>());
+    const ConvergentScheduler faulty(vliw, std::move(passes),
+                                     vliwPassParams());
+    const auto rolled_back = faulty.schedule(graph);
+    ASSERT_EQ(rolled_back.trace[position].pass, "HALFTHROW");
+    const auto without = ConvergentScheduler::forMachine(vliw).schedule(graph);
+    expectSameAsWithout(rolled_back, without, position, "HALFTHROW");
+}
+
+TEST(ConvergentScheduler, FailingAnyPassEqualsTheSequenceWithoutIt)
+{
+    // pass.body fires after the pass ran, so every position rolls back
+    // a pass that really mutated the matrix.
+    const ClusteredVliwMachine vliw(4);
+    const auto raw = RawMachine::withTiles(4);
+    struct Family
+    {
+        const MachineModel &machine;
+        std::string sequence;
+        PassParams params;
+    };
+    const Family families[] = {
+        {vliw, vliwPassSequence(), vliwPassParams()},
+        {raw, rawPassSequence(), rawPassParams()},
+    };
+    for (const Family &family : families) {
+        const auto graph = smallKernel(4);
+        const std::vector<std::string> names =
+            split(family.sequence, ',');
+        for (size_t k = 0; k < names.size(); ++k) {
+            std::string without_k;
+            for (size_t j = 0; j < names.size(); ++j)
+                if (j != k)
+                    without_k += (without_k.empty() ? "" : ",") + names[j];
+            const std::string what =
+                family.sequence + " without step " + std::to_string(k);
+            const auto without =
+                ConvergentScheduler(family.machine, without_k,
+                                    family.params)
+                    .schedule(graph);
+
+            std::string error;
+            const auto plan = FaultPlan::parse(
+                "pass.body=fail:nth=" + std::to_string(k + 1), &error);
+            ASSERT_TRUE(plan.has_value()) << error;
+            FaultScope faults(&*plan, "rollback-sweep");
+            ScopedFaultScope fault_guard(&faults);
+            const auto rolled_back =
+                ConvergentScheduler(family.machine, family.sequence,
+                                    family.params)
+                    .schedule(graph);
+            expectSameAsWithout(rolled_back, without, k, what);
+        }
+    }
 }
 
 TEST(ConvergentScheduler, SkippedPassLeavesNoTraceByDefault)

@@ -2,12 +2,17 @@
  * @file
  * Unit and property tests for the preference matrix: the paper's
  * invariants, marginals, preferred slots, confidence, and the basic
- * operations of Section 3, exercised through the batched RowView API.
+ * operations of Section 3, exercised through the batched RowView API,
+ * plus the row-level undo log behind pass rollback.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "convergent/preference_matrix.hh"
 #include "support/rng.hh"
@@ -339,6 +344,186 @@ TEST(PreferenceMatrix, CopyIsIndependent)
     EXPECT_EQ(cc.row(0).windowLo(), 1);
     EXPECT_EQ(cc.row(0).windowHi(), 3);
     EXPECT_EQ(copy.at(0, 0, 0), 0.0);
+}
+
+// ---- undo log --------------------------------------------------------
+
+uint64_t
+bits(double value)
+{
+    return std::bit_cast<uint64_t>(value);
+}
+
+/** Every weight, window and marginal of @p got equals @p want bitwise. */
+void
+expectSameState(const PreferenceMatrix &got, const PreferenceMatrix &want,
+                const std::string &what)
+{
+    for (InstrId i = 0; i < want.numInstructions(); ++i) {
+        EXPECT_EQ(got.row(i).windowLo(), want.row(i).windowLo())
+            << what << ", row " << i;
+        EXPECT_EQ(got.row(i).windowHi(), want.row(i).windowHi())
+            << what << ", row " << i;
+        for (int t = 0; t < want.numTimes(); ++t) {
+            EXPECT_EQ(bits(got.timeMarginal(i, t)),
+                      bits(want.timeMarginal(i, t)))
+                << what << ", row " << i << ", time " << t;
+            for (int c = 0; c < want.numClusters(); ++c)
+                EXPECT_EQ(bits(got.at(i, t, c)), bits(want.at(i, t, c)))
+                    << what << ", row " << i << ", (" << t << ", " << c
+                    << ")";
+        }
+        for (int c = 0; c < want.numClusters(); ++c)
+            EXPECT_EQ(bits(got.spaceMarginal(i, c)),
+                      bits(want.spaceMarginal(i, c)))
+                << what << ", row " << i << ", cluster " << c;
+    }
+}
+
+/**
+ * Four rows in the states a pass can meet: 0 as constructed, 1
+ * narrowed and normalized (clean), 2 scaled but not normalized, 3
+ * narrowed, normalized, then scaled.
+ */
+PreferenceMatrix
+undoFixture()
+{
+    PreferenceMatrix w(4, 8, 3);
+    w.row(1).restrictTimeWindow(2, 6);
+    w.row(1).scaleCluster(2, 3.0);
+    w.row(1).normalize();
+    w.row(2).scaleTime(5, 4.0);
+    w.row(3).restrictTimeWindow(1, 4);
+    w.row(3).normalize();
+    w.row(3).scaleCluster(0, 0.5);
+    return w;
+}
+
+struct Mutator
+{
+    const char *name;
+    void (*apply)(PreferenceMatrix &w, InstrId i);
+};
+
+const Mutator kMutators[] = {
+    {"set (widening)",
+     [](PreferenceMatrix &w, InstrId i) { w.row(i).set(7, 1, 0.5); }},
+    {"scaleSlot",
+     [](PreferenceMatrix &w, InstrId i) { w.row(i).scaleSlot(3, 0, 7.0); }},
+    {"scaleCluster",
+     [](PreferenceMatrix &w, InstrId i) {
+         w.row(i).scaleCluster(1, 9.0);
+     }},
+    {"scaleClusters",
+     [](PreferenceMatrix &w, InstrId i) {
+         const double factors[3] = {0.5, 2.0, 0.0};
+         w.row(i).scaleClusters(factors);
+     }},
+    {"scaleTime",
+     [](PreferenceMatrix &w, InstrId i) { w.row(i).scaleTime(2, 5.0); }},
+    {"zeroCluster",
+     [](PreferenceMatrix &w, InstrId i) { w.row(i).zeroCluster(0); }},
+    {"restrictTimeWindow",
+     [](PreferenceMatrix &w, InstrId i) {
+         w.row(i).restrictTimeWindow(3, 5);
+     }},
+    {"addPositiveNoise",
+     [](PreferenceMatrix &w, InstrId i) {
+         Rng rng(5);
+         w.row(i).addPositiveNoise(rng, 0.3);
+     }},
+    {"blendFrom (widening)",
+     [](PreferenceMatrix &w, InstrId i) {
+         w.row(i).blendFrom(w.row((i + 1) % 4), 0.25);
+     }},
+    {"normalize",
+     [](PreferenceMatrix &w, InstrId i) { w.row(i).normalize(); }},
+    {"all-zero reset to uniform",
+     [](PreferenceMatrix &w, InstrId i) {
+         w.row(i).restrictTimeWindow(4, 4);
+         w.row(i).normalize();
+     }},
+    {"mutated twice",
+     [](PreferenceMatrix &w, InstrId i) {
+         w.row(i).scaleCluster(2, 4.0);
+         w.row(i).normalize();
+         w.row(i).scaleTime(6, 3.0);
+         w.row(i).normalize();
+     }},
+};
+
+TEST(PreferenceMatrixUndo, RollbackRestoresEveryMutatorExactly)
+{
+    const PreferenceMatrix base = undoFixture();
+    for (const Mutator &mutator : kMutators) {
+        for (InstrId i = 0; i < base.numInstructions(); ++i) {
+            const std::string what =
+                std::string(mutator.name) + " on row " + std::to_string(i);
+            PreferenceMatrix w = base;
+            w.beginUndo();
+            mutator.apply(w, i);
+            // Fill the marginal caches with the mutated state, so a
+            // rollback that forgot to invalidate them would show.
+            for (InstrId k = 0; k < w.numInstructions(); ++k) {
+                (void)w.preferredCluster(k);
+                (void)w.preferredTime(k);
+            }
+            // Only the mutated row is logged, and only once; normalize
+            // of the already-clean row 1 writes and logs nothing.
+            const bool clean_noop =
+                i == 1 && std::string(mutator.name) == "normalize";
+            EXPECT_EQ(w.touchedRows(),
+                      clean_noop ? std::vector<InstrId>{}
+                                 : std::vector<InstrId>{i})
+                << what;
+            w.rollback();
+            EXPECT_TRUE(w.touchedRows().empty()) << what;
+            expectSameState(w, base, what);
+
+            // The clean flag came back too: the next normalize logs
+            // (and rescales) exactly when it would have before.
+            PreferenceMatrix reference = base;
+            reference.beginUndo();
+            reference.row(i).normalize();
+            w.beginUndo();
+            w.row(i).normalize();
+            EXPECT_EQ(w.touchedRows(), reference.touchedRows()) << what;
+            expectSameState(w, reference, what + ", then normalize");
+        }
+    }
+}
+
+TEST(PreferenceMatrixUndo, RollbackRestoresManyRowsAndKeepsTheRest)
+{
+    const PreferenceMatrix base = undoFixture();
+    PreferenceMatrix w = base;
+    w.beginUndo();
+    w.row(2).scaleCluster(0, 3.0);
+    w.row(0).restrictTimeWindow(1, 2);
+    w.row(2).normalize();
+    EXPECT_EQ(w.touchedRows(), (std::vector<InstrId>{2, 0}));
+    w.rollback();
+    expectSameState(w, base, "two rows rolled back");
+}
+
+TEST(PreferenceMatrixUndo, BeginUndoDropsThePreviousScope)
+{
+    PreferenceMatrix w = undoFixture();
+    w.beginUndo();
+    w.row(3).scaleCluster(1, 6.0);
+    w.row(3).normalize();
+    const PreferenceMatrix committed = w;
+    w.beginUndo();
+    EXPECT_TRUE(w.touchedRows().empty());
+    w.rollback();  // nothing logged since the new scope opened
+    expectSameState(w, committed, "previous scope kept");
+}
+
+TEST(PreferenceMatrixUndo, MutationsOutsideAScopeAreNotLogged)
+{
+    PreferenceMatrix w(2, 4, 2);
+    w.row(0).scaleCluster(1, 2.0);
+    EXPECT_TRUE(w.touchedRows().empty());
 }
 
 /**

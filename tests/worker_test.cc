@@ -163,16 +163,42 @@ TEST(FrameProtocol, OversizedLengthFailsFastWithoutAllocating)
     EXPECT_NE(result.error.find("frame length"), std::string::npos);
 }
 
-TEST(FrameProtocol, PeerStallingMidFrameIsATimeoutNotAHang)
+TEST(FrameProtocol, PeerStallingMidFrameIsMalformedNotATimeout)
 {
-    // The write end stays open: without the deadline this would block
-    // forever, which is exactly the hang the watchdog must never
-    // inherit from the protocol layer.
+    // The write end stays open: without the completion budget this
+    // would block forever, which is exactly the hang the watchdog must
+    // never inherit from the protocol layer.  And a frame that has
+    // begun is never a Timeout, whatever the caller's budget: callers
+    // treat Timeout as an idle tick and would read the rest of the
+    // frame as the next length prefix.
+    const std::string partial_frames[] = {
+        std::string("\x08\x00\x00\x00", 4) + "ab",  // stalled body
+        std::string("\x08\x00", 2),                 // stalled header
+    };
+    for (const auto &partial : partial_frames) {
+        for (const int timeout_ms : {0, 50}) {
+            Pipe pipe;
+            writeRaw(pipe.writeFd(), partial);
+            const auto result = readFrame(pipe.readFd(), timeout_ms);
+            EXPECT_EQ(result.kind, FrameResult::Kind::Malformed)
+                << partial.size() << " bytes, budget " << timeout_ms;
+            EXPECT_FALSE(result.error.empty());
+        }
+    }
+}
+
+TEST(FrameProtocol, BufferedFrameIsReadWithAZeroBudget)
+{
+    // A frame already in the pipe is not an idle wait: even a spent
+    // deadline reads it.  (A header that lands as csched_serve's idle
+    // tick expires used to be consumed and then reported as Timeout.)
     Pipe pipe;
-    writeRaw(pipe.writeFd(), std::string("\x08\x00\x00\x00", 4) + "ab");
-    const auto result = readFrame(pipe.readFd(), 50);
-    EXPECT_EQ(result.kind, FrameResult::Kind::Timeout);
-    EXPECT_FALSE(result.error.empty());
+    ASSERT_TRUE(writeFrame(pipe.writeFd(), "ready").ok());
+    const auto result = readFrame(pipe.readFd(), 0);
+    ASSERT_EQ(result.kind, FrameResult::Kind::Payload) << result.error;
+    EXPECT_EQ(result.payload, "ready");
+    EXPECT_EQ(readFrame(pipe.readFd(), 0).kind,
+              FrameResult::Kind::Timeout);
 }
 
 TEST(WorkerProtocol, GarbageRepliesBecomeWorkerCrashed)
