@@ -545,28 +545,10 @@ PreferenceMatrix::ConstRowView::spaceMarginal(int c) const
     return m_->spaceMarginal(i_, c);
 }
 
-double
-PreferenceMatrix::ConstRowView::timeMarginal(int t) const
-{
-    return m_->timeMarginal(i_, t);
-}
-
 int
 PreferenceMatrix::ConstRowView::preferredCluster() const
 {
     return m_->preferredCluster(i_);
-}
-
-int
-PreferenceMatrix::ConstRowView::preferredTime() const
-{
-    return m_->preferredTime(i_);
-}
-
-double
-PreferenceMatrix::ConstRowView::confidence() const
-{
-    return m_->confidence(i_);
 }
 
 } // namespace csched

@@ -313,10 +313,7 @@ class PreferenceMatrix::ConstRowView
     }
 
     double spaceMarginal(int c) const;
-    double timeMarginal(int t) const;
     int preferredCluster() const;
-    int preferredTime() const;
-    double confidence() const;
 
   private:
     friend class PreferenceMatrix;
@@ -442,11 +439,6 @@ class PreferenceMatrix::RowView
     spaceMarginal(int c) const
     {
         return ConstRowView(m_, i_).spaceMarginal(c);
-    }
-    double
-    timeMarginal(int t) const
-    {
-        return ConstRowView(m_, i_).timeMarginal(t);
     }
     int
     preferredCluster() const

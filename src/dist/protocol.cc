@@ -45,27 +45,6 @@ shapeError(const char *what)
 
 } // namespace
 
-const char *
-distMessageKindName(DistMessage::Kind kind)
-{
-    switch (kind) {
-      case DistMessage::Kind::Hello:
-        return "hello";
-      case DistMessage::Kind::Welcome:
-        return "welcome";
-      case DistMessage::Kind::Job:
-        return "job";
-      case DistMessage::Kind::Result:
-        return "result";
-      case DistMessage::Kind::Ping:
-        return "ping";
-      case DistMessage::Kind::Pong:
-        return "pong";
-    }
-    CSCHED_PANIC("unreachable dist message kind ",
-                 static_cast<int>(kind));
-}
-
 std::string
 encodeDistHello()
 {

@@ -71,9 +71,6 @@ struct DistMessage
     std::optional<JobResult> result;
 };
 
-/** Stable lower-case name of a message kind, e.g. "welcome". */
-const char *distMessageKindName(DistMessage::Kind kind);
-
 std::string encodeDistHello();
 std::string encodeDistWelcome(int capacity);
 

@@ -11,9 +11,9 @@
 #include <unistd.h>
 
 #include "runner/shutdown.hh"
+#include "support/backoff.hh"
 #include "support/fault_injection.hh"
 #include "support/logging.hh"
-#include "support/rng.hh"
 #include "support/socket.hh"
 #include "support/str.hh"
 #include "support/subprocess.hh"
@@ -27,39 +27,16 @@ using Clock = std::chrono::steady_clock;
 /** Idle tick for waits that must notice drain/steal/liveness. */
 constexpr int kTickMs = 50;
 
-/**
- * Jittered exponential reconnect delay, a pure function of
- * (endpoint, attempt) -- the retryBackoffMs recipe one layer down.
- */
-int
-reconnectBackoffMs(const std::string &endpoint, int attempt, int base,
-                   int cap)
+/** When a host whose reconnect @p attempt just failed may try again. */
+Clock::time_point
+nextReconnectAt(const DistOptions &options, const std::string &endpoint,
+                int attempt, Clock::time_point now)
 {
-    const int exponent = std::min(std::max(0, attempt - 1), 6);
-    const int raw =
-        std::min(std::max(1, base) << exponent, std::max(1, cap));
-    Rng rng(fnv1aHash("dist.reconnect/" + endpoint) ^
-            static_cast<uint64_t>(attempt));
-    const double jitter = 0.5 + rng.uniform();
-    return std::max(1, static_cast<int>(raw * jitter));
-}
-
-/** Deterministic-jittered quarantine window (serve degrade recipe). */
-int
-quarantineCooldownMs(const std::string &endpoint, uint64_t trip,
-                     int base)
-{
-    Rng rng(fnv1aHash("dist.quarantine/" + endpoint) ^ trip);
-    const double jitter = 0.5 + rng.uniform();
-    return std::max(1, static_cast<int>(base * jitter));
-}
-
-void
-fillInterrupted(JobResult &result, const char *when)
-{
-    result.outcome = JobOutcome::Interrupted;
-    result.error = ErrorCode::Interrupted;
-    result.diagnostic = std::string("shutdown requested ") + when;
+    return now + std::chrono::milliseconds(jitteredBackoffMs(
+                     "dist.reconnect/" + endpoint,
+                     static_cast<uint64_t>(attempt),
+                     options.reconnectBaseMs, options.reconnectCapMs,
+                     attempt - 1));
 }
 
 } // namespace
@@ -247,10 +224,7 @@ RemoteWorkerPool::start()
         } else {
             host->reconnectAttempt = 1;
             host->nextReconnectAt =
-                Clock::now() +
-                std::chrono::milliseconds(reconnectBackoffMs(
-                    host->endpoint, 1, options_.reconnectBaseMs,
-                    options_.reconnectCapMs));
+                nextReconnectAt(options_, host->endpoint, 1, Clock::now());
         }
     }
 
@@ -343,20 +317,18 @@ RemoteWorkerPool::connectionLost(Host &host, uint64_t generation,
         // cooldown, then re-admit on probation.
         host.state = Host::State::Quarantined;
         counters_->quarantines.fetch_add(1);
-        const int cooldown = quarantineCooldownMs(
-            host.endpoint, ++host.quarantineTrips,
-            options_.quarantineCooldownMs);
+        const int cooldown = jitteredBackoffMs(
+            "dist.quarantine/" + host.endpoint, ++host.quarantineTrips,
+            options_.quarantineCooldownMs, options_.quarantineCooldownMs,
+            0);
         host.nextReconnectAt =
             now + std::chrono::milliseconds(cooldown);
         host.consecutiveLosses = 0;
     } else {
         host.state = Host::State::Disconnected;
         ++host.reconnectAttempt;
-        host.nextReconnectAt =
-            now + std::chrono::milliseconds(reconnectBackoffMs(
-                      host.endpoint, host.reconnectAttempt,
-                      options_.reconnectBaseMs,
-                      options_.reconnectCapMs));
+        host.nextReconnectAt = nextReconnectAt(
+            options_, host.endpoint, host.reconnectAttempt, now);
     }
     stateChanged_.notify_all();
 }
@@ -550,11 +522,8 @@ RemoteWorkerPool::controllerMain()
                 host->state = Host::State::Disconnected;
                 ++host->reconnectAttempt;
                 host->nextReconnectAt =
-                    Clock::now() +
-                    std::chrono::milliseconds(reconnectBackoffMs(
-                        host->endpoint, host->reconnectAttempt,
-                        options_.reconnectBaseMs,
-                        options_.reconnectCapMs));
+                    nextReconnectAt(options_, host->endpoint,
+                                    host->reconnectAttempt, Clock::now());
             }
         }
     }
@@ -676,17 +645,6 @@ RemoteWorkerPool::stats() const
     return out;
 }
 
-int
-RemoteWorkerPool::connectedHosts() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    int connected = 0;
-    for (const auto &host : hosts_)
-        if (host->state == Host::State::Connected)
-            ++connected;
-    return connected;
-}
-
 // ---------------------------------------------------------------------
 // runJobRemote.
 // ---------------------------------------------------------------------
@@ -748,7 +706,7 @@ runJobRemote(const JobSpec &spec, const JobPolicy &policy,
     ScopedLogContext log_context("job " + jobKey(spec));
 
     if (interruptRequested()) {
-        fillInterrupted(result, "before the job started");
+        markInterrupted(result, "before the job started");
         result.attempts = 0;
         return result;
     }
@@ -775,7 +733,7 @@ runJobRemote(const JobSpec &spec, const JobPolicy &policy,
         RemoteWorkerPool::Host *host = nullptr;
         while ((host = pool.pickHostLocked(affinity_key)) == nullptr) {
             if (interruptRequested()) {
-                fillInterrupted(result,
+                markInterrupted(result,
                                 "while waiting for a worker host");
                 result.attempts = 0;
                 return result;
@@ -848,7 +806,7 @@ runJobRemote(const JobSpec &spec, const JobPolicy &policy,
                     h.active = std::max(0, h.active - 1);
                 }
                 lease.outstanding.clear();
-                fillInterrupted(
+                markInterrupted(
                     result, "while the job was leased to a remote "
                             "host");
                 result.attempts = 0;

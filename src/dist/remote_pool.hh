@@ -24,7 +24,8 @@
  *    every connected host; a host silent past the liveness deadline
  *    is declared lost and its leases reassign.
  *  - Seeded jittered exponential reconnect backoff, a pure function
- *    of (endpoint, attempt) -- the same recipe as retryBackoffMs().
+ *    of (endpoint, attempt) -- support/backoff's recipe, like grid
+ *    retries.
  *  - Health scoring with crash-loop quarantine: consecutive
  *    connection losses past a threshold quarantine the host for a
  *    deterministic-jittered cooldown (the serve supervisor's
@@ -155,9 +156,6 @@ class RemoteWorkerPool
     void shutdown();
 
     DistStats stats() const;
-
-    /** Hosts currently connected and accepting leases. */
-    int connectedHosts() const;
 
   private:
     friend JobResult runJobRemote(const JobSpec &, const JobPolicy &,

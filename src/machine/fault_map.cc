@@ -83,23 +83,6 @@ percentCount(int universe, int pct)
 
 } // namespace
 
-std::string
-FaultMap::summary() const
-{
-    auto count = [](const auto &flags) {
-        int n = 0;
-        for (auto f : flags)
-            n += f != 0 ? 1 : 0;
-        return n;
-    };
-    int slow = 0;
-    for (int f : slowFactor)
-        slow += f > 1 ? 1 : 0;
-    return std::to_string(count(deadCluster)) + " dead tiles, " +
-           std::to_string(count(deadLink)) + " dead links, " +
-           std::to_string(slow) + " slowed";
-}
-
 StatusOr<FaultSpec>
 FaultSpec::parse(const std::string &text)
 {

@@ -62,9 +62,6 @@ struct FaultMap
     {
         return slowFactor.empty() ? 1 : slowFactor[cluster];
     }
-
-    /** Human-readable summary, e.g. "2 dead tiles, 1 dead link". */
-    std::string summary() const;
 };
 
 /**

@@ -15,17 +15,6 @@ RawMachine::RawMachine(int rows, int cols)
     faults_ = FaultIndex::build(FaultMap{}, numClusters());
 }
 
-RawMachine::RawMachine(int rows, int cols, FaultMap faults)
-    : RawMachine(rows, cols)
-{
-    faults_ = FaultIndex::build(std::move(faults), numClusters());
-    if (!faults_.map.deadCluster.empty() ||
-        !faults_.map.deadLink.empty()) {
-        std::string why;
-        CSCHED_ASSERT(computeDetourTables(&why), why);
-    }
-}
-
 StatusOr<std::unique_ptr<RawMachine>>
 RawMachine::tryCreate(int rows, int cols, FaultMap faults)
 {

@@ -38,12 +38,6 @@ class RawMachine : public MachineModel
     RawMachine(int rows, int cols);
 
     /**
-     * Build a degraded mesh; panics when the fault map disconnects
-     * the alive tiles (use tryCreate for spec-driven construction).
-     */
-    RawMachine(int rows, int cols, FaultMap faults);
-
-    /**
      * Validated construction from spec text: fails with InvalidSpec
      * when @p faults leaves some pair of alive tiles unreachable over
      * the alive links (in either direction).

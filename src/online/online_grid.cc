@@ -5,7 +5,6 @@
 #include "eval/online_metrics.hh"
 #include "machine/machine_spec.hh"
 #include "online/online_scheduler.hh"
-#include "support/logging.hh"
 
 namespace csched {
 
@@ -90,55 +89,6 @@ runOnlineJobAttempt(const JobSpec &spec, JobResult &out)
     out.seconds =
         std::chrono::duration<double>(end - begin).count();
     return Status();
-}
-
-StatusOr<GridSpec>
-makeOnlineGrid(const OnlineGridSpec &spec)
-{
-    GridSpec grid;
-    std::string error;
-    for (const std::string &stream : spec.streams) {
-        if (!parseStreamSpec(stream, &error))
-            return Status::invalidSpec(error);
-        grid.workloads.push_back(stream);
-    }
-    for (const std::string &machine : spec.machines) {
-        if (parseMachineSpec(machine, &error) == nullptr)
-            return Status::invalidSpec(error);
-        grid.machines.push_back(machine);
-    }
-    for (const std::string &policy : spec.policies) {
-        if (!parseOnlinePolicy(policy, &error))
-            return Status::invalidSpec(error);
-        const auto parsed = parseAlgorithmSpec(policy, &error);
-        if (!parsed.has_value())
-            return Status::invalidSpec(error);
-        grid.algorithms.push_back(*parsed);
-    }
-    if (grid.workloads.empty() || grid.machines.empty() ||
-        grid.algorithms.empty())
-        return Status::invalidSpec(
-            "empty online grid: need at least one stream, machine, "
-            "and policy");
-    grid.jobs = spec.jobs;
-    grid.computeSpeedup = false;
-    grid.deadlineMs = spec.deadlineMs;
-    grid.retries = spec.retries;
-    grid.faults = spec.faults;
-    grid.journalPath = spec.journalPath;
-    grid.resume = spec.resume;
-    grid.isolate = spec.isolate;
-    grid.memLimitMb = spec.memLimitMb;
-    return grid;
-}
-
-GridReport
-runOnlineGrid(const OnlineGridSpec &spec)
-{
-    auto grid = makeOnlineGrid(spec);
-    if (!grid.ok())
-        CSCHED_FATAL("invalid online grid: ", grid.status().message());
-    return runGrid(*grid);
 }
 
 } // namespace csched

@@ -6,8 +6,9 @@
  * of a parallel runner, streams ride the grid's *workload* axis
  * (stream specs are workload-shaped strings, see arrival.hh) and
  * policies ride its *algorithm* axis (policy specs parse through
- * parseAlgorithmSpec) -- so runOnlineGrid is runGrid with the axes
- * filled in, and every grid contract carries over unchanged: journal
+ * parseAlgorithmSpec) -- so an online sweep is a plain GridSpec run by
+ * runGrid (speedup off: the one-cluster normalisation is an offline
+ * concept), and every grid contract carries over unchanged: journal
  * + resume, --isolate worker containment (specs cross the worker
  * pipe in text form), fault injection, retries/deadlines, and
  * byte-identical csched-grid-report-v2 output at any --jobs value.
@@ -24,9 +25,6 @@
 #ifndef CSCHED_ONLINE_ONLINE_GRID_HH
 #define CSCHED_ONLINE_ONLINE_GRID_HH
 
-#include <string>
-#include <vector>
-
 #include "runner/grid_runner.hh"
 
 namespace csched {
@@ -42,39 +40,6 @@ bool isOnlineJobSpec(const JobSpec &spec);
  * from inside its try block so StatusError unwinds identically).
  */
 Status runOnlineJobAttempt(const JobSpec &spec, JobResult &out);
-
-/**
- * Declarative description of an online sweep; the string axes are
- * stream specs and online policy specs.  Execution knobs mirror
- * GridSpec (same defaults, same journal/isolate semantics).
- */
-struct OnlineGridSpec
-{
-    std::vector<std::string> streams;
-    std::vector<std::string> machines;
-    std::vector<std::string> policies;
-    int jobs = 1;
-    int deadlineMs = 0;
-    int retries = 0;
-    const FaultPlan *faults = nullptr;
-    std::string journalPath;
-    bool resume = false;
-    bool isolate = false;
-    int memLimitMb = 0;
-};
-
-/**
- * Translate @p spec into the equivalent GridSpec (speedup off --
- * the one-cluster normalisation is an offline concept).  InvalidSpec
- * with a diagnosis on a malformed stream or policy.
- */
-StatusOr<GridSpec> makeOnlineGrid(const OnlineGridSpec &spec);
-
-/**
- * Run the sweep: makeOnlineGrid + runGrid.  Fatal on an invalid
- * spec (validate via makeOnlineGrid first when input is untrusted).
- */
-GridReport runOnlineGrid(const OnlineGridSpec &spec);
 
 } // namespace csched
 

@@ -4,7 +4,6 @@
 #include <csignal>
 #include <exception>
 #include <memory>
-#include <thread>
 
 #include "dist/remote_pool.hh"
 #include "eval/speedup.hh"
@@ -15,12 +14,11 @@
 #include "runner/shutdown.hh"
 #include "runner/thread_pool.hh"
 #include "runner/worker.hh"
+#include "support/backoff.hh"
 #include "support/cancel.hh"
 #include "support/fault_injection.hh"
 #include "support/logging.hh"
-#include "support/rng.hh"
 #include "support/socket.hh"
-#include "support/str.hh"
 #include "workloads/workloads.hh"
 
 namespace csched {
@@ -171,49 +169,6 @@ interruptPoint()
     }
 }
 
-/** Fill @p result as "stopped by shutdown before finishing". */
-void
-markInterrupted(JobResult &result, const char *when)
-{
-    result.outcome = JobOutcome::Interrupted;
-    result.error = ErrorCode::Interrupted;
-    result.diagnostic = std::string("shutdown requested ") + when;
-}
-
-/**
- * Sleep @p ms between retry attempts, in small slices so a drain
- * request cuts the wait short instead of stalling the shutdown.
- */
-void
-backoffSleep(int ms)
-{
-    using Clock = std::chrono::steady_clock;
-    const auto until = Clock::now() + std::chrono::milliseconds(ms);
-    while (!interruptRequested()) {
-        const auto left =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                until - Clock::now())
-                .count();
-        if (left <= 0)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            std::min<long long>(10, left)));
-    }
-}
-
-/** Append the recorded backoff delays to a terminal diagnostic. */
-void
-appendBackoffNote(JobResult &result, const std::vector<int> &delays)
-{
-    if (delays.empty() || result.outcome == JobOutcome::Ok ||
-        result.outcome == JobOutcome::Interrupted)
-        return;
-    result.diagnostic += " [retry backoff ms:";
-    for (const int ms : delays)
-        result.diagnostic += " " + std::to_string(ms);
-    result.diagnostic += "]";
-}
-
 /**
  * One (workload, machine) baseline under the same isolation as a job.
  * Scope keys end in "/single-cluster" so fault rules can target or
@@ -278,18 +233,32 @@ retryBackoffMs(const std::string &job_key, int attempt)
 {
     CSCHED_ASSERT(attempt >= 2,
                   "backoff applies from the second attempt on");
-    // Exponential base, capped well below a deadline-scale pause: a
-    // retry exists to outlive a *transient* fault, not to reschedule
-    // the job for later.
-    const int exponent = std::min(attempt - 2, 5);
-    const int base = std::min(10 << exponent, 200);
-    // The jitter draw is a pure function of (job identity, attempt),
-    // never of wall-clock or thread identity, so the delays -- which
-    // are recorded in terminal diagnostics -- are byte-identical at
-    // any --jobs value.
-    Rng rng(fnv1aHash(job_key) ^ static_cast<uint64_t>(attempt));
-    const double jitter = 0.5 + rng.uniform();
-    return std::max(1, static_cast<int>(base * jitter));
+    // Capped well below a deadline-scale pause: a retry exists to
+    // outlive a *transient* fault, not to reschedule the job for later.
+    return jitteredBackoffMs(job_key, static_cast<uint64_t>(attempt), 10,
+                             200, attempt - 2);
+}
+
+void
+markInterrupted(JobResult &result, const char *when)
+{
+    result.outcome = JobOutcome::Interrupted;
+    result.error = ErrorCode::Interrupted;
+    result.diagnostic = std::string("shutdown requested ") + when;
+    result.workerSignal = 0;
+    result.workerExitStatus = 0;
+}
+
+void
+appendBackoffNote(JobResult &result, const std::vector<int> &delays)
+{
+    if (delays.empty() || result.outcome == JobOutcome::Ok ||
+        result.outcome == JobOutcome::Interrupted)
+        return;
+    result.diagnostic += " [retry backoff ms:";
+    for (const int ms : delays)
+        result.diagnostic += " " + std::to_string(ms);
+    result.diagnostic += "]";
 }
 
 JobResult
@@ -358,7 +327,7 @@ runJob(const JobSpec &spec, const JobPolicy &policy,
             const int delay =
                 retryBackoffMs(jobKey(spec), attempt + 1);
             backoffs.push_back(delay);
-            backoffSleep(delay);
+            sleepUnlessInterrupted(delay);
         }
     }
     appendBackoffNote(result, backoffs);

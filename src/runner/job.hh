@@ -175,12 +175,26 @@ JobResult runJob(const JobSpec &spec, const JobPolicy &policy = {},
 /**
  * Deterministic jittered exponential backoff before retry @p attempt
  * (2-based: the attempt about to run) of the job identified by
- * @p job_key: base 10 ms doubling per attempt, capped at 200 ms, with
- * a [0.5, 1.5) jitter factor drawn from a seed that is a pure
- * function of (job_key, attempt) -- so recorded delays are part of
- * the deterministic report layer and identical at any --jobs value.
+ * @p job_key: support/backoff's recipe with base 10 ms doubling per
+ * attempt, capped at 200 ms, keyed by (job_key, attempt) -- so
+ * recorded delays are part of the deterministic report layer and
+ * identical at any --jobs value.
  */
 int retryBackoffMs(const std::string &job_key, int attempt);
+
+/**
+ * Mark @p result as stopped by a shutdown request @p when ("before the
+ * job started", ...): outcome and error `interrupted`, no worker death
+ * recorded.  Such a result is never journaled; the job re-runs on
+ * resume.
+ */
+void markInterrupted(JobResult &result, const char *when);
+
+/**
+ * Append the retry backoff delays a job slept, " [retry backoff ms:
+ * D D]", to the diagnostic of a failed or timed-out @p result.
+ */
+void appendBackoffNote(JobResult &result, const std::vector<int> &delays);
 
 } // namespace csched
 

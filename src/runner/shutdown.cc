@@ -1,7 +1,10 @@
 #include "runner/shutdown.hh"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <csignal>
+#include <thread>
 
 #include "support/cancel.hh"
 
@@ -124,6 +127,23 @@ int
 interruptExitCode(int signum)
 {
     return 128 + (signum > 0 ? signum : SIGINT);
+}
+
+void
+sleepUnlessInterrupted(int ms)
+{
+    using Clock = std::chrono::steady_clock;
+    const auto until = Clock::now() + std::chrono::milliseconds(ms);
+    while (!interruptRequested()) {
+        const auto left =
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                until - Clock::now())
+                .count();
+        if (left <= 0)
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(
+            std::min<long long>(10, left)));
+    }
 }
 
 } // namespace csched

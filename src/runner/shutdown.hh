@@ -94,6 +94,12 @@ void clearInterrupt();
 /** Conventional exit code for an interrupted run: 128 + signum. */
 int interruptExitCode(int signum);
 
+/**
+ * Sleep @p ms in slices of at most 10 ms, returning early once
+ * interruptRequested(), so a backoff never stalls a drain.
+ */
+void sleepUnlessInterrupted(int ms);
+
 } // namespace csched
 
 #endif // CSCHED_RUNNER_SHUTDOWN_HH

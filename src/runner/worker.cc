@@ -602,33 +602,6 @@ describeDeath(const Dispatch &dispatch)
     return "worker exited without a reply";
 }
 
-/** Sleep @p ms in small slices, stopping early on a drain. */
-void
-interruptibleSleep(int ms)
-{
-    using Clock = std::chrono::steady_clock;
-    const auto until = Clock::now() + std::chrono::milliseconds(ms);
-    while (Clock::now() < until && !interruptRequested())
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            std::min<long long>(
-                10,
-                std::max<long long>(
-                    1, std::chrono::duration_cast<
-                           std::chrono::milliseconds>(until -
-                                                      Clock::now())
-                           .count()))));
-}
-
-void
-fillInterrupted(JobResult &result, const char *when)
-{
-    result.outcome = JobOutcome::Interrupted;
-    result.error = ErrorCode::Interrupted;
-    result.diagnostic = std::string("shutdown requested ") + when;
-    result.workerSignal = 0;
-    result.workerExitStatus = 0;
-}
-
 } // namespace
 
 void
@@ -754,7 +727,7 @@ runJobIsolated(const JobSpec &spec, const JobPolicy &policy,
     ScopedLogContext log_context("job " + jobKey(spec));
 
     if (interruptRequested()) {
-        fillInterrupted(result, "before the job started");
+        markInterrupted(result, "before the job started");
         result.attempts = 0;
         return result;
     }
@@ -828,7 +801,7 @@ runJobIsolated(const JobSpec &spec, const JobPolicy &policy,
             // it (forwarded SIGTERM, grace-budget kill), so it is not
             // a verdict: hand the job back as interrupted, never
             // journaled, and let resume settle it.
-            fillInterrupted(result, "while the worker was draining");
+            markInterrupted(result, "while the worker was draining");
             result.attempts = consumed;
             return result;
         }
@@ -851,12 +824,7 @@ runJobIsolated(const JobSpec &spec, const JobPolicy &policy,
 
         if (consumed >= max_attempts) {
             result.attempts = consumed;
-            if (!backoffs.empty()) {
-                result.diagnostic += " [retry backoff ms:";
-                for (const int ms : backoffs)
-                    result.diagnostic += " " + std::to_string(ms);
-                result.diagnostic += "]";
-            }
+            appendBackoffNote(result, backoffs);
             return result;
         }
 
@@ -864,7 +832,7 @@ runJobIsolated(const JobSpec &spec, const JobPolicy &policy,
         // backoff in-process retries use.
         const int delay = retryBackoffMs(jobKey(spec), consumed + 1);
         backoffs.push_back(delay);
-        interruptibleSleep(delay);
+        sleepUnlessInterrupted(delay);
     }
 }
 

@@ -7,9 +7,8 @@
 
 #include "eval/experiment.hh"
 #include "runner/shutdown.hh"
-#include "support/rng.hh"
+#include "support/backoff.hh"
 #include "support/socket.hh"
-#include "support/str.hh"
 #include "support/subprocess.hh"
 
 namespace csched {
@@ -451,10 +450,9 @@ Server::noteWorkerHealth(const JobResult &result)
     // The jitter is deterministic in the trip ordinal, same recipe as
     // the retry backoff, so degraded windows are reproducible.
     const uint64_t trip = degradeTrips_.fetch_add(1) + 1;
-    Rng rng(fnv1aHash("serve.degrade") ^ trip);
-    const double factor = 0.5 + rng.uniform();
-    const int64_t cooldown = static_cast<int64_t>(
-        static_cast<double>(options_.degradeCooldownMs) * factor);
+    const int64_t cooldown = jitteredBackoffMs(
+        "serve.degrade", trip, options_.degradeCooldownMs,
+        options_.degradeCooldownMs, 0);
     degradedUntilMs_.store(steadyMs() + cooldown);
     consecutiveWorkerDeaths_.store(0);
     if (options_.verbose)

@@ -48,18 +48,7 @@ Session::send(const ServeResponse &response, bool timings)
         outgoing.result.diagnostic =
             "reply fault injected: " + err.status.message();
     }
-    const Status written =
-        writeFrame(fd_, encodeServeResponse(outgoing, timings));
-    if (written.ok())
-        ++repliesSent_;
-    return written;
-}
-
-uint64_t
-Session::repliesSent() const
-{
-    std::lock_guard<std::mutex> lock(writeMutex_);
-    return repliesSent_;
+    return writeFrame(fd_, encodeServeResponse(outgoing, timings));
 }
 
 void

@@ -67,19 +67,15 @@ class Session
      */
     FaultScope &admitScope() { return admitScope_; }
 
-    /** Replies successfully written on this session. */
-    uint64_t repliesSent() const;
-
     /** Half-close the read side: wakes the reader out of readFrame. */
     void shutdownRead();
 
   private:
     const int fd_;
     const uint64_t id_;
-    mutable std::mutex writeMutex_;
+    std::mutex writeMutex_;
     FaultScope admitScope_;
     FaultScope replyScope_;  ///< guarded by writeMutex_
-    uint64_t repliesSent_ = 0;  ///< guarded by writeMutex_
 };
 
 } // namespace csched

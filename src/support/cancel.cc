@@ -65,12 +65,6 @@ ScopedCancelToken::~ScopedCancelToken()
     t_current_token = previous_;
 }
 
-CancelToken *
-currentCancelToken()
-{
-    return t_current_token;
-}
-
 void
 pollCancellation(const char *where)
 {

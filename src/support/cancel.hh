@@ -61,9 +61,6 @@ class ScopedCancelToken
     CancelToken *previous_;
 };
 
-/** The token bound to this thread, or nullptr outside any job. */
-CancelToken *currentCancelToken();
-
 /**
  * The root of the cancellation tree: a process-wide flag sitting above
  * every per-job CancelToken.  The signal handlers of a graceful

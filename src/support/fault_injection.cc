@@ -199,12 +199,6 @@ ScopedFaultScope::~ScopedFaultScope()
     t_current_scope = previous_;
 }
 
-FaultScope *
-currentFaultScope()
-{
-    return t_current_scope;
-}
-
 void
 faultPoint(const char *point)
 {

@@ -136,9 +136,6 @@ class ScopedFaultScope
     FaultScope *previous_;
 };
 
-/** The scope bound to this thread, or nullptr outside any job. */
-FaultScope *currentFaultScope();
-
 /** Hit @p point on the current thread's scope; no-op without one. */
 void faultPoint(const char *point);
 

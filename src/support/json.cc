@@ -226,13 +226,6 @@ JsonWriter::value(bool flag)
 }
 
 JsonWriter &
-JsonWriter::nullValue()
-{
-    raw("null");
-    return *this;
-}
-
-JsonWriter &
 JsonWriter::value(const std::vector<int> &numbers)
 {
     // Compact one-line form: assignment vectors would otherwise
@@ -241,17 +234,6 @@ JsonWriter::value(const std::vector<int> &numbers)
     out_ << "[";
     for (size_t k = 0; k < numbers.size(); ++k)
         out_ << (k > 0 ? ", " : "") << numbers[k];
-    out_ << "]";
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(const std::vector<double> &numbers)
-{
-    beforeItem();
-    out_ << "[";
-    for (size_t k = 0; k < numbers.size(); ++k)
-        out_ << (k > 0 ? ", " : "") << formatNumber(numbers[k]);
     out_ << "]";
     return *this;
 }

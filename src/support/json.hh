@@ -68,11 +68,9 @@ class JsonWriter
     JsonWriter &value(uint64_t number);
     JsonWriter &value(double number);
     JsonWriter &value(bool flag);
-    JsonWriter &nullValue();
 
-    /** Whole-array conveniences for the common numeric payloads. */
+    /** Whole-array convenience for assignment vectors. */
     JsonWriter &value(const std::vector<int> &numbers);
-    JsonWriter &value(const std::vector<double> &numbers);
 
   private:
     enum class Scope { Object, Array };

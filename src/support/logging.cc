@@ -48,12 +48,6 @@ ScopedLogContext::~ScopedLogContext()
     t_log_context = std::move(previous_);
 }
 
-const std::string &
-logThreadContext()
-{
-    return t_log_context;
-}
-
 void
 logAndDie(LogLevel level, const char *file, int line, const std::string &msg)
 {

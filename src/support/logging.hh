@@ -55,9 +55,6 @@ class ScopedLogContext
     std::string previous_;
 };
 
-/** The current thread's log context; empty when none is installed. */
-const std::string &logThreadContext();
-
 /**
  * Register a pthread_atfork hook that holds the logging mutex across
  * fork(), so a child forked from a multi-threaded parent (worker

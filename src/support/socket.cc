@@ -347,15 +347,4 @@ setSendTimeout(int fd, int ms)
     (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
-void
-setRecvTimeout(int fd, int ms)
-{
-    if (ms <= 0)
-        return;
-    struct timeval tv;
-    tv.tv_sec = ms / 1000;
-    tv.tv_usec = (ms % 1000) * 1000;
-    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-}
-
 } // namespace csched

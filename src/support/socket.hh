@@ -103,14 +103,6 @@ void setSendTimeout(int fd, int ms);
  */
 void setTcpNoDelay(int fd);
 
-/**
- * Bound the time a blocking read on @p fd may wait for a silent peer
- * (SO_RCVTIMEO).  Frame readers that pass their own poll budget to
- * readFrame() do not need this; it is a belt-and-braces backstop for
- * plain read() paths.
- */
-void setRecvTimeout(int fd, int ms);
-
 } // namespace csched
 
 #endif // CSCHED_SUPPORT_SOCKET_HH

@@ -74,12 +74,6 @@ Status::timedOut(std::string message)
 }
 
 Status
-Status::injected(std::string message)
-{
-    return error(ErrorCode::Injected, std::move(message));
-}
-
-Status
 Status::internal(std::string message)
 {
     return error(ErrorCode::Internal, std::move(message));
@@ -95,12 +89,6 @@ Status
 Status::workerCrashed(std::string message)
 {
     return error(ErrorCode::WorkerCrashed, std::move(message));
-}
-
-Status
-Status::workerKilled(std::string message)
-{
-    return error(ErrorCode::WorkerKilled, std::move(message));
 }
 
 Status

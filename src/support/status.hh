@@ -86,11 +86,9 @@ class Status
     static Status invalidSpec(std::string message);
     static Status checkFailed(std::string message);
     static Status timedOut(std::string message);
-    static Status injected(std::string message);
     static Status internal(std::string message);
     static Status interrupted(std::string message);
     static Status workerCrashed(std::string message);
-    static Status workerKilled(std::string message);
     static Status overloaded(std::string message);
     static Status hostLost(std::string message);
 

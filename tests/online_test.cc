@@ -16,7 +16,6 @@
 #include "eval/online_metrics.hh"
 #include "machine/machine_spec.hh"
 #include "online/arrival.hh"
-#include "online/online_grid.hh"
 #include "online/online_scheduler.hh"
 #include "online/policy.hh"
 #include "runner/grid_runner.hh"
@@ -376,22 +375,24 @@ TEST(OnlineGrid, MismatchedAxesAreInvalidSpecOutcomes)
     EXPECT_EQ(mirrored.results[0].error, ErrorCode::InvalidSpec);
 }
 
-OnlineGridSpec
+GridSpec
 smallOnlineGrid(int jobs)
 {
-    OnlineGridSpec spec;
-    spec.streams = {
+    GridSpec grid;
+    grid.workloads = {
         "stream:bursty:n=8:seed=5:gap=300:burst=3:workloads=fir+vvmul"};
-    spec.machines = {"vliw2", "vliw4"};
-    spec.policies = {"online-convergent", "online-uas"};
-    spec.jobs = jobs;
-    return spec;
+    grid.machines = {"vliw2", "vliw4"};
+    grid.algorithms = {*parseAlgorithmSpec("online-convergent"),
+                       *parseAlgorithmSpec("online-uas")};
+    grid.computeSpeedup = false;
+    grid.jobs = jobs;
+    return grid;
 }
 
 TEST(OnlineGrid, ByteIdenticalAcrossThreadCounts)
 {
-    const auto serial = runOnlineGrid(smallOnlineGrid(1));
-    const auto parallel = runOnlineGrid(smallOnlineGrid(4));
+    const auto serial = runGrid(smallOnlineGrid(1));
+    const auto parallel = runGrid(smallOnlineGrid(4));
     ASSERT_TRUE(serial.allOk());
     EXPECT_EQ(deterministicJson(serial), deterministicJson(parallel));
 
@@ -412,13 +413,13 @@ TEST(OnlineGrid, JournalResumeReplaysByteIdentically)
 
     auto journaled = smallOnlineGrid(2);
     journaled.journalPath = path;
-    const auto first = runOnlineGrid(journaled);
+    const auto first = runGrid(journaled);
     ASSERT_TRUE(first.allOk());
 
     auto resumed_spec = smallOnlineGrid(2);
     resumed_spec.journalPath = path;
     resumed_spec.resume = true;
-    const auto resumed = runOnlineGrid(resumed_spec);
+    const auto resumed = runGrid(resumed_spec);
     EXPECT_EQ(resumed.replayed,
               static_cast<int>(first.results.size()));
     EXPECT_EQ(deterministicJson(resumed), deterministicJson(first));
@@ -426,17 +427,18 @@ TEST(OnlineGrid, JournalResumeReplaysByteIdentically)
 
 TEST(OnlineGrid, RejectsMalformedAxes)
 {
+    std::string error;
     auto bad_stream = smallOnlineGrid(1);
-    bad_stream.streams = {"stream:poisson:n=0"};
-    EXPECT_FALSE(makeOnlineGrid(bad_stream).ok());
+    bad_stream.workloads = {"stream:poisson:n=0"};
+    EXPECT_FALSE(validateGrid(bad_stream, &error));
 
     auto bad_policy = smallOnlineGrid(1);
-    bad_policy.policies = {"online-nope"};
-    EXPECT_FALSE(makeOnlineGrid(bad_policy).ok());
+    AlgorithmSpec unknown;
+    unknown.name = "online-nope";
+    bad_policy.algorithms = {unknown};
+    EXPECT_FALSE(validateGrid(bad_policy, &error));
 
-    auto offline_policy = smallOnlineGrid(1);
-    offline_policy.policies = {"convergent"};
-    EXPECT_FALSE(makeOnlineGrid(offline_policy).ok());
+    EXPECT_TRUE(validateGrid(smallOnlineGrid(1), &error)) << error;
 }
 
 // ---- Mid-run degradation -------------------------------------------
@@ -607,17 +609,20 @@ TEST(OnlineScheduler, DegradeEventHitsItsFaultPoint)
 TEST(OnlineGrid, DegradeSweepIsByteIdenticalAcrossThreadCounts)
 {
     auto degradeGrid = [](int jobs) {
-        OnlineGridSpec spec;
-        spec.streams = {"stream:poisson:n=8:seed=3:mean-gap=40:"
-                        "max-weight=4:workloads=fir+vvmul"};
-        spec.machines = {"raw4x4", "raw4x4/faults=tiles:2+9"};
-        spec.policies = {"online-uas:degrade-at=120:degrade-tiles=5",
-                         "online-convergent"};
-        spec.jobs = jobs;
-        return spec;
+        GridSpec grid;
+        grid.workloads = {"stream:poisson:n=8:seed=3:mean-gap=40:"
+                          "max-weight=4:workloads=fir+vvmul"};
+        grid.machines = {"raw4x4", "raw4x4/faults=tiles:2+9"};
+        grid.algorithms = {
+            *parseAlgorithmSpec(
+                "online-uas:degrade-at=120:degrade-tiles=5"),
+            *parseAlgorithmSpec("online-convergent")};
+        grid.computeSpeedup = false;
+        grid.jobs = jobs;
+        return grid;
     };
-    const auto serial = runOnlineGrid(degradeGrid(1));
-    const auto parallel = runOnlineGrid(degradeGrid(4));
+    const auto serial = runGrid(degradeGrid(1));
+    const auto parallel = runGrid(degradeGrid(4));
     ASSERT_TRUE(serial.allOk());
     EXPECT_EQ(deterministicJson(serial), deterministicJson(parallel));
 }

@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the support module: RNG, statistics, strings, tables.
+ * Unit tests for the support module: RNG, statistics, strings, tables,
+ * backoff.
  */
 
 #include <gtest/gtest.h>
@@ -8,7 +9,11 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
+#include "runner/job.hh"
+#include "support/backoff.hh"
 #include "support/rng.hh"
 #include "support/stats.hh"
 #include "support/str.hh"
@@ -219,6 +224,83 @@ TEST(TableDeathTest, RejectsMismatchedRow)
 {
     TablePrinter table({"a", "b"});
     EXPECT_DEATH(table.addRow({"only one"}), "row width");
+}
+
+// The delays below were recorded from the four separate recipes this
+// one replaced (grid retry, dist reconnect, dist quarantine, serve
+// degrade); each caller's parameterization must keep reproducing them.
+TEST(Backoff, ReproducesTheRecordedDelayTable)
+{
+    // retryBackoffMs(key, attempt) for attempts 2..9.
+    const std::pair<const char *, std::vector<int>> retry[] = {
+        {"fir/vliw2/uas", {8, 20, 43, 61, 223, 118, 203, 188}},
+        {"vvmul/vliw2/uas", {14, 16, 42, 52, 220, 189, 207, 256}},
+        {"tomcatv/vliw4/convergent",
+         {10, 19, 38, 55, 155, 118, 188, 129}},
+    };
+    for (const auto &[key, delays] : retry)
+        for (int attempt = 2; attempt <= 9; ++attempt)
+            EXPECT_EQ(retryBackoffMs(key, attempt),
+                      delays[static_cast<size_t>(attempt - 2)])
+                << key << " attempt " << attempt;
+
+    // Dist reconnect for attempts 1..9 under (base, cap).
+    const std::string endpoint = "127.0.0.1:7001";
+    struct Reconnect
+    {
+        int base;
+        int cap;
+        std::vector<int> delays;
+    };
+    const Reconnect reconnect[] = {
+        {50, 2000, {36, 59, 214, 364, 416, 1216, 1880, 2655, 1159}},
+        {1, 1, {1, 1, 1, 1, 1, 1, 1, 1, 1}},
+        {1, 5000, {1, 1, 4, 7, 8, 24, 60, 84, 37}},
+        {100, 100000,
+         {72, 118, 428, 728, 833, 2433, 6016, 8498, 3710}},
+        {3, 7, {2, 3, 7, 6, 3, 5, 6, 9, 4}},
+    };
+    for (const auto &row : reconnect)
+        for (int attempt = 1; attempt <= 9; ++attempt)
+            EXPECT_EQ(jitteredBackoffMs("dist.reconnect/" + endpoint,
+                                        attempt, row.base, row.cap,
+                                        attempt - 1),
+                      row.delays[static_cast<size_t>(attempt - 1)])
+                << "base " << row.base << " cap " << row.cap
+                << " attempt " << attempt;
+
+    // Dist quarantine and serve degrade windows for trips 1..5.
+    const std::pair<int, std::vector<int>> quarantine[] = {
+        {2000, {2015, 1869, 1791, 1355, 1149}},
+        {300, {302, 280, 268, 203, 172}},
+        {1, {1, 1, 1, 1, 1}},
+        {2, {2, 1, 1, 1, 1}},
+    };
+    for (const auto &[base, delays] : quarantine)
+        for (int trip = 1; trip <= 5; ++trip)
+            EXPECT_EQ(jitteredBackoffMs("dist.quarantine/" + endpoint,
+                                        trip, base, base, 0),
+                      delays[static_cast<size_t>(trip - 1)])
+                << "base " << base << " trip " << trip;
+    const std::pair<int, std::vector<int>> degrade[] = {
+        {1000, {1074, 1336, 575, 1355, 834}},
+        {60000, {64491, 80200, 34543, 81341, 50045}},
+        {2, {2, 2, 1, 2, 1}},
+    };
+    for (const auto &[base, delays] : degrade)
+        for (int trip = 1; trip <= 5; ++trip)
+            EXPECT_EQ(jitteredBackoffMs("serve.degrade", trip, base,
+                                        base, 0),
+                      delays[static_cast<size_t>(trip - 1)])
+                << "base " << base << " trip " << trip;
+}
+
+TEST(Backoff, NeverReturnsLessThanOneMillisecond)
+{
+    for (int n = 1; n <= 20; ++n) {
+        EXPECT_GE(jitteredBackoffMs("serve.degrade", n, 1, 1, 0), 1);
+        EXPECT_GE(jitteredBackoffMs("k", n, 0, 0, 3), 1);
+    }
 }
 
 } // namespace

@@ -75,15 +75,21 @@
  *     --quick               repeats 3 and the small cell set; the
  *                           ci.sh perf gate uses this
  *     --cells W/M[/ALG],... override the end-to-end cell list
- *     --kernel-cells W/M,.. override the pass-kernel cell list
- *     --online-cells S/M/P,..
- *                           override the online cell list (stream
- *                           spec / machine / online policy)
  *     --check               compare the end-to-end, online, mesh,
  *                           and dist medians against the baseline and
- *                           exit 1 on >threshold slowdown; prints the
- *                           per-kernel delta table as the diagnostic
- *                           on failure
+ *                           exit 1 on a slowdown of more than 15%;
+ *                           prints the per-kernel delta table as the
+ *                           diagnostic on failure
+ *     --baseline-dir DIR    where --check finds the baseline
+ *                           (default: the repository checkout, ".")
+ *     --annotate-pre-rewrite FILE
+ *                           attach the medians of FILE (an end-to-end
+ *                           bench report measured on the pre-rewrite
+ *                           engine) as preRewriteSeconds
+ *
+ * Every perf cell is timed the same way: one untimed warm-up run, then
+ * --repeats timed runs, reported as their median and min.  Fixtures
+ * (graph build, arrival generation, daemon start-up) are never timed.
  *
  * The mesh cells time the degraded-machine hot paths on a 32x32 Raw
  * mesh, fault-free and 10% degraded: machine construction (fault-map
@@ -92,13 +98,6 @@
  * two localhost csched_workerd daemons and time a small fixed grid
  * through them against the same grid under --isolate, so the
  * remote-dispatch overhead is a gated number, not a guess.
- *     --baseline-dir DIR    where --check finds the baseline
- *                           (default: the repository checkout, ".")
- *     --threshold PCT       --check slowdown gate (default 15)
- *     --annotate-pre-rewrite FILE
- *                           attach the medians of FILE (an end-to-end
- *                           bench report measured on the pre-rewrite
- *                           engine) as preRewriteSeconds
  *
  * Invoking csched_bench with grid flags but no subcommand keeps
  * working as `suite` for one release (compatibility shim).
@@ -115,6 +114,7 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -123,21 +123,17 @@
 #include <vector>
 
 #include "convergent/pass_registry.hh"
-#include "dist/remote_pool.hh"
 #include "dist/workerd.hh"
 #include "eval/experiment.hh"
 #include "eval/online_metrics.hh"
+#include "grid_driver.hh"
 #include "machine/machine_spec.hh"
 #include "online/arrival.hh"
 #include "online/online_scheduler.hh"
 #include "online/policy.hh"
 #include "runner/bench_report.hh"
-#include "runner/failure_summary.hh"
-#include "runner/grid_runner.hh"
-#include "runner/json_report.hh"
 #include "runner/shutdown.hh"
 #include "support/atomic_file.hh"
-#include "support/fault_injection.hh"
 #include "support/stats.hh"
 #include "support/str.hh"
 #include "support/table.hh"
@@ -165,11 +161,8 @@ usage(const char *argv0, const std::string &why = "")
         << " [--resume]\n"
         << "    [--hosts CSV] [--keep-going] [--quiet]\n"
         << "  perf [--out-dir DIR] [--repeats N] [--quick]"
-        << " [--cells W/M,..]\n"
-        << "    [--kernel-cells W/M,..] [--online-cells S/M/P,..]"
-        << " [--check]\n"
-        << "    [--baseline-dir DIR] [--threshold PCT]"
-        << " [--annotate-pre-rewrite FILE]\n"
+        << " [--cells W/M,..] [--check]\n"
+        << "    [--baseline-dir DIR] [--annotate-pre-rewrite FILE]\n"
         << "  list\n";
     std::exit(2);
 }
@@ -195,38 +188,24 @@ suiteWorkloads(const std::string &suite)
 int
 runSuite(const char *argv0, const std::vector<std::string> &args)
 {
-    GridSpec grid;
+    GridFlags flags;
+    GridSpec &grid = flags.grid;
     grid.machines = {"vliw4"};
     grid.jobs = 0;
     std::string suite = "all";
     std::string workloads_arg;
     std::string algorithms_arg = "convergent";
-    std::string json_file;
     ReportOptions report_options;
     bool quiet = false;
-    bool keep_going = false;
-    FaultPlan fault_plan;
-    DistOptions dist_options;
 
     for (size_t k = 0; k < args.size(); ++k) {
+        if (parseGridFlag(argv0, usage, args, k, flags))
+            continue;
         const std::string arg = args[k];
         auto next = [&]() -> std::string {
             if (k + 1 >= args.size())
                 usage(argv0, arg + " needs a value");
             return args[++k];
-        };
-        auto nextInt = [&](const char *floor_why) -> int {
-            const std::string text = next();
-            int parsed = 0;
-            try {
-                parsed = std::stoi(text);
-            } catch (...) {
-                usage(argv0,
-                      arg + " expects an integer, got '" + text + "'");
-            }
-            if (parsed < 0)
-                usage(argv0, arg + floor_why);
-            return parsed;
         };
         if (arg == "--workloads") {
             workloads_arg = next();
@@ -238,42 +217,6 @@ runSuite(const char *argv0, const std::vector<std::string> &args)
             grid.machines = splitMachineList(next());
         } else if (arg == "--algorithms" || arg == "--algorithm") {
             algorithms_arg = next();
-        } else if (arg == "--jobs") {
-            grid.jobs = nextInt(" must be >= 0");
-        } else if (arg == "--deadline-ms") {
-            grid.deadlineMs = nextInt(" must be >= 0 (0 = no deadline)");
-        } else if (arg == "--retries") {
-            grid.retries = nextInt(" must be >= 0");
-        } else if (arg == "--isolate") {
-            grid.isolate = true;
-        } else if (arg == "--mem-limit-mb") {
-            grid.memLimitMb =
-                nextInt(" must be >= 0 (0 = unlimited)");
-        } else if (arg == "--journal") {
-            grid.journalPath = next();
-        } else if (arg == "--resume") {
-            grid.resume = true;
-        } else if (arg == "--hosts") {
-            grid.hosts = split(next(), ',');
-        } else if (arg == "--dist-opts") {
-            // Hidden: dist-client timing overrides for tests and CI
-            // (see DistOptions::applyOverrides).
-            const Status applied =
-                DistOptions::applyOverrides(&dist_options, next());
-            if (!applied.ok())
-                usage(argv0, "--dist-opts: " + applied.message());
-        } else if (arg == "--keep-going") {
-            keep_going = true;
-        } else if (arg == "--inject") {
-            // Hidden: deterministic fault injection for the
-            // robustness tests (see fault_injection.hh).
-            std::string why;
-            const auto parsed_plan = FaultPlan::parse(next(), &why);
-            if (!parsed_plan.has_value())
-                usage(argv0, "--inject: " + why);
-            fault_plan = *parsed_plan;
-        } else if (arg == "--json") {
-            json_file = next();
         } else if (arg == "--no-timings") {
             report_options.timings = false;
         } else if (arg == "--no-assignments") {
@@ -319,21 +262,7 @@ runSuite(const char *argv0, const std::vector<std::string> &args)
         spec = *parsed;
     }
 
-    if (!fault_plan.empty())
-        grid.faults = &fault_plan;
-    if (!grid.hosts.empty())
-        grid.dist = &dist_options;
-    if (grid.resume && grid.journalPath.empty())
-        usage(argv0, "--resume requires --journal");
-
-    std::string error;
-    if (!validateGrid(grid, &error))
-        usage(argv0, error);
-
-    installGridSignalHandlers();
-    const GridReport report = runGrid(grid);
-
-    if (!quiet) {
+    auto print_table = [&](const GridReport &report) {
         TablePrinter table({"workload", "machine", "algorithm",
                             "instrs", "makespan", "speedup", "ms"});
         for (const auto &job : report.results) {
@@ -356,30 +285,10 @@ runSuite(const char *argv0, const std::vector<std::string> &args)
                   << report.threads << " thread"
                   << (report.threads == 1 ? "" : "s") << " in "
                   << formatDouble(report.wallSeconds, 2) << " s\n";
-    }
-
-    if (!json_file.empty()) {
-        if (json_file == "-") {
-            writeGridReport(std::cout, report, report_options);
-        } else {
-            // Driver-level fault scope so --inject can target the
-            // report write itself (the jobs ran in their own scopes).
-            FaultScope report_faults(grid.faults, "report");
-            ScopedFaultScope report_fault_guard(&report_faults);
-            const Status written = writeFileAtomic(
-                json_file, gridReportToJson(report, report_options));
-            if (!written.ok()) {
-                std::cerr << argv0 << ": " << written.toString()
-                          << "\n";
-                return 1;
-            }
-            if (!quiet)
-                std::cout << "wrote " << json_file << "\n";
-        }
-    }
-
-    printFailureSummary(std::cerr, report);
-    return gridExitCode(report, keep_going);
+    };
+    using Print = std::function<void(const GridReport &)>;
+    return runGridAndReport(argv0, usage, flags, report_options, !quiet,
+                            quiet ? Print() : Print(print_table));
 }
 
 // ---- perf ----------------------------------------------------------
@@ -533,6 +442,70 @@ kernelNames(const std::vector<PassStep> &trace)
     return names;
 }
 
+/**
+ * The perf timing rule every cell follows: call @p rep once untimed
+ * (the warm-up), then @p repeats times timed.  One call returns the
+ * seconds of each quantity it measures -- one for a whole-call cell,
+ * one per pass for the pass kernels -- and the result holds each
+ * quantity's median and min over the timed calls.
+ */
+std::vector<BenchCell>
+timeReps(int repeats, const std::function<std::vector<double>()> &rep)
+{
+    (void)rep();  // warm-up, untimed
+    std::vector<std::vector<double>> samples;
+    for (int k = 0; k < repeats; ++k) {
+        const std::vector<double> seconds = rep();
+        samples.resize(seconds.size());
+        for (size_t q = 0; q < seconds.size(); ++q)
+            samples[q].push_back(seconds[q]);
+    }
+    std::vector<BenchCell> cells(samples.size());
+    for (size_t q = 0; q < samples.size(); ++q) {
+        cells[q].medianSeconds = median(samples[q]);
+        cells[q].minSeconds =
+            *std::min_element(samples[q].begin(), samples[q].end());
+        cells[q].reps = repeats;
+    }
+    return cells;
+}
+
+using Clock = std::chrono::steady_clock;
+
+double
+secondsSince(Clock::time_point begin)
+{
+    return std::chrono::duration<double>(Clock::now() - begin).count();
+}
+
+/** The two forked workerd daemons of the dist cells, reaped on exit. */
+struct PerfFleet
+{
+    std::optional<WorkerdChild> a = spawnPerfWorkerd(2);
+    std::optional<WorkerdChild> b = spawnPerfWorkerd(2);
+
+    PerfFleet() = default;
+    PerfFleet(const PerfFleet &) = delete;
+    PerfFleet &operator=(const PerfFleet &) = delete;
+
+    ~PerfFleet()
+    {
+        for (const auto &child : {a, b})
+            if (child.has_value())
+                reapWorkerd(*child);
+    }
+};
+
+/** One BENCH kind: its document, whether --check gates it, its cells. */
+struct PerfKind
+{
+    const char *kind;
+    const char *file;
+    bool gated;
+    /** Append the kind's cells; throws StatusError when a run fails. */
+    std::function<void(std::vector<BenchCell> &)> measure;
+};
+
 int
 runPerf(const char *argv0, const std::vector<std::string> &args)
 {
@@ -542,10 +515,7 @@ runPerf(const char *argv0, const std::vector<std::string> &args)
     int repeats = 5;
     bool quick = false;
     bool check = false;
-    double threshold = 15.0;
     std::string cells_arg;
-    std::string kernel_cells_arg;
-    std::string online_cells_arg;
 
     for (size_t k = 0; k < args.size(); ++k) {
         const std::string arg = args[k];
@@ -566,14 +536,8 @@ runPerf(const char *argv0, const std::vector<std::string> &args)
             quick = true;
         } else if (arg == "--check") {
             check = true;
-        } else if (arg == "--threshold") {
-            threshold = std::stod(next());
         } else if (arg == "--cells") {
             cells_arg = next();
-        } else if (arg == "--kernel-cells") {
-            kernel_cells_arg = next();
-        } else if (arg == "--online-cells") {
-            online_cells_arg = next();
         } else if (arg == "--annotate-pre-rewrite") {
             annotate_file = next();
         } else {
@@ -601,8 +565,7 @@ runPerf(const char *argv0, const std::vector<std::string> &args)
     };
     // Online cells measure the whole commit loop -- admission,
     // per-region planning, and (for plan-ahead) preempt-and-recommit
-    // -- over a deterministic arrival stream.  Stream specs are '+'
-    // and ':' separated, so they survive the ','/'/' cell grammar.
+    // -- over a deterministic arrival stream.
     const std::string perf_stream =
         "stream:bursty:n=12:seed=11:gap=200:burst=4:"
         "workloads=fir+vvmul+jacobi";
@@ -619,26 +582,6 @@ runPerf(const char *argv0, const std::vector<std::string> &args)
     }
     if (!cells_arg.empty())
         e2e_cells = parsePerfCells(argv0, cells_arg);
-    if (!kernel_cells_arg.empty())
-        kernel_cells = parsePerfCells(argv0, kernel_cells_arg);
-    if (!online_cells_arg.empty())
-        online_cells = parsePerfCells(argv0, online_cells_arg);
-
-    BenchReport kernels_report;
-    kernels_report.kind = "pass-kernels";
-    kernels_report.meta = collectMeta(repeats);
-    BenchReport e2e_report;
-    e2e_report.kind = "end-to-end";
-    e2e_report.meta = collectMeta(repeats);
-    BenchReport online_report;
-    online_report.kind = "online";
-    online_report.meta = collectMeta(repeats);
-    BenchReport mesh_report;
-    mesh_report.kind = "mesh";
-    mesh_report.meta = collectMeta(repeats);
-    BenchReport dist_report;
-    dist_report.kind = "dist";
-    dist_report.meta = collectMeta(repeats);
 
     auto prepare = [&](const PerfCell &cell,
                        std::unique_ptr<MachineModel> *machine,
@@ -658,129 +601,108 @@ runPerf(const char *argv0, const std::vector<std::string> &args)
         const int clusters = (*machine)->numClusters();
         return workload->build(clusters, clusters);
     };
+    auto logCell = [&](const BenchCell &cell, const std::string &note) {
+        std::cerr << "perf: " << cell.key() << " median "
+                  << formatDouble(cell.medianSeconds * 1e3, 2)
+                  << " ms over " << repeats << " reps" << note << "\n";
+    };
 
-    // End-to-end cells: median-of-N wall time of a full schedule()
-    // call; one untimed warm-up run per cell.
-    for (const auto &cell : e2e_cells) {
-        std::unique_ptr<MachineModel> machine;
-        std::unique_ptr<SchedulingAlgorithm> algorithm;
-        const DependenceGraph graph =
-            prepare(cell, &machine, &algorithm);
-        (void)algorithm->run(graph); // warm-up, untimed
-        std::vector<double> seconds;
-        int makespan = 0;
-        for (int rep = 0; rep < repeats; ++rep) {
-            const auto begin = std::chrono::steady_clock::now();
-            const ScheduleResult result = algorithm->run(graph);
-            const auto end = std::chrono::steady_clock::now();
-            seconds.push_back(
-                std::chrono::duration<double>(end - begin).count());
-            makespan = result.schedule.makespan();
+    // End-to-end cells: the wall time of a full schedule() call.
+    auto measureEndToEnd = [&](std::vector<BenchCell> &out) {
+        for (const auto &cell : e2e_cells) {
+            std::unique_ptr<MachineModel> machine;
+            std::unique_ptr<SchedulingAlgorithm> algorithm;
+            const DependenceGraph graph =
+                prepare(cell, &machine, &algorithm);
+            int makespan = 0;
+            BenchCell timed = timeReps(repeats, [&] {
+                const auto begin = Clock::now();
+                const ScheduleResult result = algorithm->run(graph);
+                const double seconds = secondsSince(begin);
+                makespan = result.schedule.makespan();
+                return std::vector<double>{seconds};
+            })[0];
+            timed.workload = cell.workload;
+            timed.machine = cell.machine;
+            timed.algorithm = cell.algorithm;
+            timed.instructions = graph.numInstructions();
+            timed.makespan = makespan;
+            out.push_back(timed);
+            logCell(timed, "");
         }
-        BenchCell out;
-        out.workload = cell.workload;
-        out.machine = cell.machine;
-        out.algorithm = cell.algorithm;
-        out.medianSeconds = median(seconds);
-        out.minSeconds =
-            *std::min_element(seconds.begin(), seconds.end());
-        out.reps = repeats;
-        out.instructions = graph.numInstructions();
-        out.makespan = makespan;
-        e2e_report.cells.push_back(out);
-        std::cerr << "perf: " << out.key() << " median "
-                  << formatDouble(out.medianSeconds * 1e3, 2)
-                  << " ms over " << repeats << " reps\n";
-    }
+    };
 
     // Pass-kernel cells: per-pass wall times from the pipeline trace,
-    // median-of-N per trace position.
-    for (const auto &cell : kernel_cells) {
-        std::unique_ptr<MachineModel> machine;
-        std::unique_ptr<SchedulingAlgorithm> algorithm;
-        const DependenceGraph graph =
-            prepare(cell, &machine, &algorithm);
-        std::vector<std::string> names;
-        std::vector<std::vector<double>> samples;
-        for (int rep = 0; rep < repeats; ++rep) {
-            const ScheduleResult result = algorithm->run(graph);
-            if (names.empty()) {
+    // one quantity per trace position.
+    auto measureKernels = [&](std::vector<BenchCell> &out) {
+        for (const auto &cell : kernel_cells) {
+            std::unique_ptr<MachineModel> machine;
+            std::unique_ptr<SchedulingAlgorithm> algorithm;
+            const DependenceGraph graph =
+                prepare(cell, &machine, &algorithm);
+            std::vector<std::string> names;
+            std::vector<BenchCell> timed = timeReps(repeats, [&] {
+                const ScheduleResult result = algorithm->run(graph);
                 names = kernelNames(result.trace);
-                samples.resize(names.size());
+                std::vector<double> seconds;
+                for (const auto &step : result.trace)
+                    seconds.push_back(step.seconds);
+                return seconds;
+            });
+            for (size_t k = 0; k < timed.size(); ++k) {
+                timed[k].workload = cell.workload;
+                timed[k].machine = cell.machine;
+                timed[k].kernel = names[k];
+                out.push_back(timed[k]);
             }
-            for (size_t k = 0;
-                 k < result.trace.size() && k < samples.size(); ++k)
-                samples[k].push_back(result.trace[k].seconds);
+            std::cerr << "perf: " << cell.workload << "/" << cell.machine
+                      << " pass kernels measured (" << names.size()
+                      << " passes x " << repeats << " reps)\n";
         }
-        for (size_t k = 0; k < names.size(); ++k) {
-            BenchCell out;
-            out.workload = cell.workload;
-            out.machine = cell.machine;
-            out.kernel = names[k];
-            out.medianSeconds = median(samples[k]);
-            out.minSeconds = *std::min_element(samples[k].begin(),
-                                               samples[k].end());
-            out.reps = repeats;
-            kernels_report.cells.push_back(out);
-        }
-        std::cerr << "perf: " << cell.workload << "/" << cell.machine
-                  << " pass kernels measured (" << names.size()
-                  << " passes x " << repeats << " reps)\n";
-    }
+    };
 
-    // Online cells: median-of-N wall time of one full runOnline()
-    // commit loop over a pre-generated arrival stream (generation is
-    // untimed -- the stream is the fixture, the loop is the engine).
-    for (const auto &cell : online_cells) {
-        std::string error;
-        const auto machine = parseMachineSpec(cell.machine, &error);
-        if (machine == nullptr)
-            usage(argv0, error);
-        const auto stream = parseStreamSpec(cell.workload, &error);
-        if (!stream.has_value())
-            usage(argv0, error);
-        const auto policy = parseOnlinePolicy(cell.algorithm, &error);
-        if (!policy.has_value())
-            usage(argv0, error);
-        const auto arrivals = generateArrivals(*stream);
-        if (!arrivals.ok())
-            usage(argv0, arrivals.status().toString());
+    // Online cells: one full runOnline() commit loop over a
+    // pre-generated arrival stream (generation is untimed -- the
+    // stream is the fixture, the loop is the engine).
+    auto measureOnline = [&](std::vector<BenchCell> &out) {
+        for (const auto &cell : online_cells) {
+            std::string error;
+            const auto machine = parseMachineSpec(cell.machine, &error);
+            if (machine == nullptr)
+                usage(argv0, error);
+            const auto stream = parseStreamSpec(cell.workload, &error);
+            if (!stream.has_value())
+                usage(argv0, error);
+            const auto policy =
+                parseOnlinePolicy(cell.algorithm, &error);
+            if (!policy.has_value())
+                usage(argv0, error);
+            const auto arrivals = generateArrivals(*stream);
+            if (!arrivals.ok())
+                usage(argv0, arrivals.status().toString());
 
-        OnlineMetrics metrics;
-        std::vector<double> seconds;
-        for (int rep = 0; rep <= repeats; ++rep) {
-            const auto begin = std::chrono::steady_clock::now();
-            const auto run = runOnline(*machine, *policy, *arrivals);
-            const auto end = std::chrono::steady_clock::now();
-            if (!run.ok()) {
-                std::cerr << argv0 << ": online cell " << cell.workload
-                          << "/" << cell.machine << "/"
-                          << cell.algorithm << ": "
-                          << run.status().toString() << "\n";
-                return 1;
-            }
-            if (rep == 0)
-                continue;  // warm-up, untimed
-            seconds.push_back(
-                std::chrono::duration<double>(end - begin).count());
-            metrics = computeOnlineMetrics(run->commits);
+            OnlineMetrics metrics;
+            BenchCell timed = timeReps(repeats, [&] {
+                const auto begin = Clock::now();
+                const auto run = runOnline(*machine, *policy, *arrivals);
+                const double seconds = secondsSince(begin);
+                if (!run.ok())
+                    throw StatusError(run.status().withContext(
+                        "online cell " + cell.workload + "/" +
+                        cell.machine + "/" + cell.algorithm));
+                metrics = computeOnlineMetrics(run->commits);
+                return std::vector<double>{seconds};
+            })[0];
+            timed.workload = cell.workload;
+            timed.machine = cell.machine;
+            timed.algorithm = cell.algorithm;
+            timed.instructions = metrics.instructions;
+            timed.makespan = metrics.makespan;
+            out.push_back(timed);
+            logCell(timed,
+                    " (" + std::to_string(metrics.regions) + " regions)");
         }
-        BenchCell out;
-        out.workload = cell.workload;
-        out.machine = cell.machine;
-        out.algorithm = cell.algorithm;
-        out.medianSeconds = median(seconds);
-        out.minSeconds =
-            *std::min_element(seconds.begin(), seconds.end());
-        out.reps = repeats;
-        out.instructions = metrics.instructions;
-        out.makespan = metrics.makespan;
-        online_report.cells.push_back(out);
-        std::cerr << "perf: " << out.key() << " median "
-                  << formatDouble(out.medianSeconds * 1e3, 2)
-                  << " ms over " << repeats << " reps ("
-                  << metrics.regions << " regions)\n";
-    }
+    };
 
     // Mesh cells: the degraded-machine hot paths on a 32x32 mesh.
     // Per machine (fault-free and 10% degraded), two kernels:
@@ -790,183 +712,138 @@ runPerf(const char *argv0, const std::vector<std::string> &args)
     // fault-aware router inside scheduling and the dead-resource
     // checker rules).  The cell set is fixed so quick and full runs
     // join against the same baseline keys.
-    {
+    auto measureMesh = [&](std::vector<BenchCell> &out) {
         const std::string mesh_workload = "mxm";
-        const std::vector<std::string> mesh_machines = {
-            "raw32x32", "raw32x32/faults=seed:1,tiles:10%,links:3%"};
-        for (const auto &machine_spec : mesh_machines) {
-            std::vector<double> construct_seconds;
+        const WorkloadSpec *workload = tryFindWorkload(mesh_workload);
+        const auto uas = parseAlgorithmSpec("uas");
+        for (const std::string machine_spec :
+             {"raw32x32", "raw32x32/faults=seed:1,tiles:10%,links:3%"}) {
             std::unique_ptr<MachineModel> machine;
-            for (int rep = 0; rep <= repeats; ++rep) {
-                const auto begin = std::chrono::steady_clock::now();
+            BenchCell construct = timeReps(repeats, [&] {
+                const auto begin = Clock::now();
                 auto built = tryParseMachineSpec(machine_spec);
-                const auto end = std::chrono::steady_clock::now();
-                if (!built.ok()) {
-                    std::cerr << argv0 << ": mesh cell " << machine_spec
-                              << ": " << built.status().toString()
-                              << "\n";
-                    return 1;
-                }
+                const double seconds = secondsSince(begin);
+                if (!built.ok())
+                    throw StatusError(built.status().withContext(
+                        "mesh cell " + machine_spec));
                 machine = std::move(*built);
-                if (rep == 0)
-                    continue;  // warm-up, untimed
-                construct_seconds.push_back(
-                    std::chrono::duration<double>(end - begin)
-                        .count());
-            }
-            BenchCell construct;
+                return std::vector<double>{seconds};
+            })[0];
             construct.workload = "-";
             construct.machine = machine_spec;
             construct.kernel = "construct";
-            construct.medianSeconds = median(construct_seconds);
-            construct.minSeconds =
-                *std::min_element(construct_seconds.begin(),
-                                  construct_seconds.end());
-            construct.reps = repeats;
-            mesh_report.cells.push_back(construct);
+            out.push_back(construct);
 
-            std::string error;
-            const auto spec = parseAlgorithmSpec("uas", &error);
-            if (!spec.has_value())
-                usage(argv0, error);
-            const auto algorithm = makeAlgorithm(*spec, *machine);
-            const WorkloadSpec *workload =
-                tryFindWorkload(mesh_workload);
-            if (workload == nullptr)
-                usage(argv0,
-                      "unknown workload '" + mesh_workload + "'");
+            const auto algorithm = makeAlgorithm(*uas, *machine);
             // Fixed bank count: mxm's size scales with banks, and the
             // cell measures routing on 1024 tiles, not a 65k-instr
             // graph.  Preplacement still spreads over the whole mesh.
             DependenceGraph graph =
                 workload->build(16, machine->numClusters());
             remapPreplacedForMachine(graph, *machine);
-            std::vector<double> schedule_seconds;
             int makespan = 0;
-            for (int rep = 0; rep <= repeats; ++rep) {
-                const auto begin = std::chrono::steady_clock::now();
+            BenchCell schedule = timeReps(repeats, [&] {
+                const auto begin = Clock::now();
                 const auto run =
                     tryRunAndCheck(*algorithm, graph, *machine);
-                const auto end = std::chrono::steady_clock::now();
-                if (!run.ok()) {
-                    std::cerr << argv0 << ": mesh cell "
-                              << mesh_workload << "/" << machine_spec
-                              << ": " << run.status().toString()
-                              << "\n";
-                    return 1;
-                }
+                const double seconds = secondsSince(begin);
+                if (!run.ok())
+                    throw StatusError(run.status().withContext(
+                        "mesh cell " + mesh_workload + "/" +
+                        machine_spec));
                 makespan = run->makespan;
-                if (rep == 0)
-                    continue;  // warm-up, untimed
-                schedule_seconds.push_back(
-                    std::chrono::duration<double>(end - begin)
-                        .count());
-            }
-            BenchCell schedule;
+                return std::vector<double>{seconds};
+            })[0];
             schedule.workload = mesh_workload;
             schedule.machine = machine_spec;
             schedule.kernel = "schedule";
             schedule.algorithm = "uas";
-            schedule.medianSeconds = median(schedule_seconds);
-            schedule.minSeconds =
-                *std::min_element(schedule_seconds.begin(),
-                                  schedule_seconds.end());
-            schedule.reps = repeats;
             schedule.instructions = graph.numInstructions();
             schedule.makespan = makespan;
-            mesh_report.cells.push_back(schedule);
+            out.push_back(schedule);
             std::cerr << "perf: mesh " << machine_spec << " construct "
                       << formatDouble(construct.medianSeconds * 1e3, 2)
                       << " ms, schedule "
                       << formatDouble(schedule.medianSeconds * 1e3, 2)
                       << " ms over " << repeats << " reps\n";
         }
-    }
+    };
 
     // Dist cells: the distributed execution path end to end.  One
-    // fixed small grid is timed through runGrid() twice -- under
-    // --isolate (the in-process containment baseline) and over a
-    // localhost fleet of two forked workerd daemons -- so the gate
-    // tracks the dispatch/lease/heartbeat overhead the RemoteWorkerPool
-    // adds on top of the same forked-worker execution.
-    {
-        // One fixed grid for quick and full runs alike, so the gate's
-        // key join always finds both cells in the baseline.
+    // fixed small grid (the same for quick and full runs, so the
+    // gate's key join always finds both cells) is timed through
+    // runGrid() twice -- under --isolate (the in-process containment
+    // baseline) and over a localhost fleet of two forked workerd
+    // daemons -- so the gate tracks the dispatch/lease/heartbeat
+    // overhead the RemoteWorkerPool adds on top of the same
+    // forked-worker execution.
+    auto measureDist = [&](std::vector<BenchCell> &out) {
         GridSpec dist_grid;
         dist_grid.workloads = {"fir", "vvmul", "jacobi"};
         dist_grid.machines = {"vliw4"};
-        std::string error;
-        const auto convergent =
-            parseAlgorithmSpec("convergent", &error);
-        if (!convergent.has_value())
-            usage(argv0, error);
-        dist_grid.algorithms = {*convergent};
+        dist_grid.algorithms = {*parseAlgorithmSpec("convergent")};
         dist_grid.jobs = 4;
         dist_grid.computeSpeedup = true;
 
-        const auto workerd_a = spawnPerfWorkerd(2);
-        const auto workerd_b = spawnPerfWorkerd(2);
-        if (!workerd_a.has_value() || !workerd_b.has_value()) {
-            if (workerd_a.has_value())
-                reapWorkerd(*workerd_a);
-            std::cerr << argv0
-                      << ": dist cells: cannot fork workerd\n";
-            return 1;
-        }
+        const PerfFleet fleet;
+        if (!fleet.a.has_value() || !fleet.b.has_value())
+            throw StatusError(
+                Status::internal("dist cells: cannot fork workerd"));
 
-        std::string workload_label;
-        for (const auto &name : dist_grid.workloads)
-            workload_label +=
-                (workload_label.empty() ? "" : "+") + name;
-
-        // (mode label, grid mutation) pairs; the label lands in the
-        // cell's kernel field so the two modes join as distinct keys.
-        bool dist_ok = true;
+        // The mode label lands in the cell's kernel field so the two
+        // modes join as distinct keys.
         for (const std::string mode : {"isolate", "dist-2x2"}) {
             GridSpec grid = dist_grid;
             if (mode == "isolate") {
                 grid.isolate = true;
             } else {
                 grid.hosts = {
-                    "127.0.0.1:" + std::to_string(workerd_a->port),
-                    "127.0.0.1:" + std::to_string(workerd_b->port)};
+                    "127.0.0.1:" + std::to_string(fleet.a->port),
+                    "127.0.0.1:" + std::to_string(fleet.b->port)};
             }
-            std::vector<double> seconds;
-            for (int rep = 0; rep <= repeats; ++rep) {
+            BenchCell timed = timeReps(repeats, [&] {
                 const GridReport report = runGrid(grid);
-                if (!report.allOk()) {
-                    std::cerr << argv0 << ": dist cell " << mode
-                              << ": grid run failed\n";
-                    dist_ok = false;
-                    break;
-                }
-                if (rep == 0)
-                    continue;  // warm-up, untimed
-                seconds.push_back(report.wallSeconds);
-            }
-            if (!dist_ok)
-                break;
-            BenchCell out;
-            out.workload = workload_label;
-            out.machine = "vliw4";
-            out.kernel = mode;
-            out.medianSeconds = median(seconds);
-            out.minSeconds =
-                *std::min_element(seconds.begin(), seconds.end());
-            out.reps = repeats;
-            dist_report.cells.push_back(out);
-            std::cerr << "perf: " << out.key() << " median "
-                      << formatDouble(out.medianSeconds * 1e3, 2)
-                      << " ms over " << repeats << " reps\n";
+                if (!report.allOk())
+                    throw StatusError(Status::internal(
+                        "dist cell " + mode + ": grid run failed"));
+                return std::vector<double>{report.wallSeconds};
+            })[0];
+            timed.workload = "fir+vvmul+jacobi";
+            timed.machine = "vliw4";
+            timed.kernel = mode;
+            out.push_back(timed);
+            logCell(timed, "");
         }
-        reapWorkerd(*workerd_a);
-        reapWorkerd(*workerd_b);
-        if (!dist_ok)
-            return 1;
+    };
+
+    // The perf record, in measurement order.  --check gates the
+    // end-to-end, online, mesh and dist medians; per-pass kernel times
+    // cover ~a third of a schedule() call, so machine-load noise swings
+    // them far more than the cells the gate protects, and their delta
+    // table is printed only as the diagnostic of a failed gate (it
+    // localises the regression to a pass).
+    const std::vector<PerfKind> kinds = {
+        {"end-to-end", "BENCH_end_to_end.json", true, measureEndToEnd},
+        {"pass-kernels", "BENCH_pass_kernels.json", false,
+         measureKernels},
+        {"online", "BENCH_online.json", true, measureOnline},
+        {"mesh", "BENCH_mesh.json", true, measureMesh},
+        {"dist", "BENCH_dist.json", true, measureDist},
+    };
+    std::vector<BenchReport> reports(kinds.size());
+    try {
+        for (size_t k = 0; k < kinds.size(); ++k) {
+            reports[k].kind = kinds[k].kind;
+            reports[k].meta = collectMeta(repeats);
+            kinds[k].measure(reports[k].cells);
+        }
+    } catch (const StatusError &error) {
+        std::cerr << argv0 << ": " << error.status.toString() << "\n";
+        return 1;
     }
 
-    // Optionally attach pre-rewrite medians so the trajectory's
-    // starting point travels with the report.
+    // Optionally attach pre-rewrite medians to the end-to-end cells so
+    // the trajectory's starting point travels with the report.
     if (!annotate_file.empty()) {
         const auto loaded = readWholeFile(annotate_file);
         if (!loaded.has_value()) {
@@ -984,7 +861,7 @@ runPerf(const char *argv0, const std::vector<std::string> &args)
         std::map<std::string, double> pre_by_key;
         for (const auto &cell : pre->cells)
             pre_by_key[cell.key()] = cell.medianSeconds;
-        for (auto &cell : e2e_report.cells) {
+        for (auto &cell : reports[0].cells) {
             const auto it = pre_by_key.find(cell.key());
             if (it != pre_by_key.end())
                 cell.preRewriteSeconds = it->second;
@@ -998,95 +875,69 @@ runPerf(const char *argv0, const std::vector<std::string> &args)
         if (!component.empty() && component != ".")
             ::mkdir(dir_prefix.c_str(), 0777);
     }
-    auto writeReport = [&](const std::string &path,
-                           const BenchReport &report) -> bool {
+    for (size_t k = 0; k < kinds.size(); ++k) {
+        const std::string path = out_dir + "/" + kinds[k].file;
         const Status written =
-            writeFileAtomic(path, benchReportToJson(report));
+            writeFileAtomic(path, benchReportToJson(reports[k]));
         if (!written.ok()) {
             std::cerr << argv0 << ": " << written.toString() << "\n";
-            return false;
+            return 1;
         }
         std::cerr << "perf: wrote " << path << "\n";
-        return true;
-    };
-    if (!writeReport(out_dir + "/BENCH_pass_kernels.json",
-                     kernels_report) ||
-        !writeReport(out_dir + "/BENCH_end_to_end.json", e2e_report) ||
-        !writeReport(out_dir + "/BENCH_online.json", online_report) ||
-        !writeReport(out_dir + "/BENCH_mesh.json", mesh_report) ||
-        !writeReport(out_dir + "/BENCH_dist.json", dist_report))
-        return 1;
+    }
 
     if (!check)
         return 0;
 
-    // The regression gate: join the end-to-end cells against the
-    // committed baseline and fail on slowdown beyond the threshold.
-    // The gate is the end-to-end medians only: per-pass kernel times
-    // cover ~a third of a schedule() call, so machine-load noise
-    // swings them far more than the cells the gate protects.  The
-    // per-kernel delta table is printed as the diagnostic when the
-    // gate fails (it localises the regression to a pass).
-    BenchCompareOptions compare;
-    compare.slowdownThreshold = threshold / 100.0;
-    auto load = [&](const char *name) -> std::optional<BenchReport> {
-        const std::string base_path =
-            baseline_dir + "/" + std::string(name);
+    // The regression gate: join each gated kind against its committed
+    // baseline and fail on a median slowdown beyond the threshold.
+    const BenchCompareOptions compare;
+    std::vector<std::optional<BenchReport>> baselines(kinds.size());
+    bool loaded_all = true;
+    for (size_t k = 0; k < kinds.size(); ++k) {
+        const std::string base_path = baseline_dir + "/" + kinds[k].file;
         const auto loaded = readWholeFile(base_path);
         if (!loaded.has_value()) {
-            std::cerr << argv0 << ": perf gate: no baseline "
-                      << base_path << "\n";
-            return std::nullopt;
+            if (kinds[k].gated) {
+                std::cerr << argv0 << ": perf gate: no baseline "
+                          << base_path << "\n";
+                loaded_all = false;
+            }
+            continue;
         }
         std::string error;
-        auto baseline = parseBenchReport(*loaded, &error);
-        if (!baseline.has_value())
+        baselines[k] = parseBenchReport(*loaded, &error);
+        if (!baselines[k].has_value() && kinds[k].gated) {
             std::cerr << argv0 << ": perf gate: " << base_path << ": "
                       << error << "\n";
-        return baseline;
-    };
-    const auto e2e_baseline = load("BENCH_end_to_end.json");
-    const auto online_baseline = load("BENCH_online.json");
-    const auto mesh_baseline = load("BENCH_mesh.json");
-    const auto dist_baseline = load("BENCH_dist.json");
-    if (!e2e_baseline.has_value() || !online_baseline.has_value() ||
-        !mesh_baseline.has_value() || !dist_baseline.has_value()) {
+            loaded_all = false;
+        }
+    }
+    if (!loaded_all) {
         std::cerr << argv0 << ": perf gate FAILED\n";
         return 1;
     }
-    std::cout << "perf gate: end-to-end vs " << baseline_dir
-              << "/BENCH_end_to_end.json (threshold "
-              << formatDouble(threshold, 0) << "%)\n";
-    bool ok = compareBenchReports(*e2e_baseline, e2e_report, compare,
-                                  std::cout);
-    std::cout << "\n";
-    std::cout << "perf gate: online vs " << baseline_dir
-              << "/BENCH_online.json (threshold "
-              << formatDouble(threshold, 0) << "%)\n";
-    ok = compareBenchReports(*online_baseline, online_report, compare,
-                             std::cout) &&
-         ok;
-    std::cout << "\n";
-    std::cout << "perf gate: mesh vs " << baseline_dir
-              << "/BENCH_mesh.json (threshold "
-              << formatDouble(threshold, 0) << "%)\n";
-    ok = compareBenchReports(*mesh_baseline, mesh_report, compare,
-                             std::cout) &&
-         ok;
-    std::cout << "\n";
-    std::cout << "perf gate: dist vs " << baseline_dir
-              << "/BENCH_dist.json (threshold "
-              << formatDouble(threshold, 0) << "%)\n";
-    ok = compareBenchReports(*dist_baseline, dist_report, compare,
-                             std::cout) &&
-         ok;
-    std::cout << "\n";
+    bool ok = true;
+    for (size_t k = 0; k < kinds.size(); ++k) {
+        if (!kinds[k].gated)
+            continue;
+        std::cout << "perf gate: " << kinds[k].kind << " vs "
+                  << baseline_dir << "/" << kinds[k].file
+                  << " (threshold "
+                  << formatDouble(compare.slowdownThreshold * 100, 0)
+                  << "%)\n";
+        ok = compareBenchReports(*baselines[k], reports[k], compare,
+                                 std::cout) &&
+             ok;
+        std::cout << "\n";
+    }
     if (!ok) {
-        const auto kernels_baseline = load("BENCH_pass_kernels.json");
-        if (kernels_baseline.has_value()) {
-            std::cout << "perf gate: per-kernel deltas (diagnostic)\n";
-            (void)compareBenchReports(*kernels_baseline,
-                                      kernels_report, compare,
+        for (size_t k = 0; k < kinds.size(); ++k) {
+            if (kinds[k].gated || !baselines[k].has_value())
+                continue;
+            std::cout << "perf gate: " << kinds[k].kind
+                      << " deltas (diagnostic)\n";
+            (void)compareBenchReports(*baselines[k], reports[k], compare,
                                       std::cout);
             std::cout << "\n";
         }

@@ -41,9 +41,10 @@
  *     --keep-going        exit 0 even when the run (or a grid job)
  *                         failed
  *
- * Online mode (see online/online_grid.hh) sweeps arrival streams
- * instead of single workloads; it shares --json/--jobs/--journal/
- * --resume/--isolate and the execution knobs above:
+ * Online mode sweeps arrival streams instead of single workloads:
+ * streams ride the grid's workload axis and policies its algorithm
+ * axis (see online/online_grid.hh), so it shares --json/--jobs/
+ * --journal/--resume/--isolate and the execution knobs above:
  *     --online            run a (stream x machine x policy) sweep
  *     --streams CSV       stream specs, e.g.
  *                         stream:poisson:n=12:seed=1:mean-gap=500:
@@ -67,17 +68,15 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
-#include "dist/remote_pool.hh"
 #include "eval/experiment.hh"
 #include "eval/speedup.hh"
+#include "grid_driver.hh"
 #include "ir/dot_export.hh"
 #include "machine/machine_spec.hh"
 #include "online/arrival.hh"
-#include "online/online_grid.hh"
-#include "runner/failure_summary.hh"
-#include "runner/grid_runner.hh"
-#include "runner/json_report.hh"
+#include "online/policy.hh"
 #include "tool_version.hh"
 #include "runner/shutdown.hh"
 #include "sched/register_pressure.hh"
@@ -117,22 +116,14 @@ usage(const char *argv0, const std::string &why = "")
 int
 main(int argc, char **argv)
 {
+    const std::vector<std::string> args(argv + 1, argv + argc);
     std::string workload = "tomcatv";
     std::string machine_spec = "vliw4";
     std::string algorithm_arg = "convergent";
     std::string sequence;
     std::string dot_file;
-    std::string json_file;
-    std::string journal_file;
-    bool resume = false;
-    int jobs = 1;
-    int deadline_ms = 0;
-    int retries = 0;
-    bool isolate = false;
-    int mem_limit_mb = 0;
-    std::string hosts_csv;
-    DistOptions dist_options;
-    bool keep_going = false;
+    GridFlags flags;
+    flags.grid.jobs = 1;
     bool online = false;
     std::string streams_csv =
         "stream:poisson:n=12:seed=1:mean-gap=500:workloads=fir+vvmul+"
@@ -141,19 +132,20 @@ main(int argc, char **argv)
     std::string policies_csv = "online-convergent,online-sp,online-list,"
                                "online-uas,online-pcc";
     std::string trace_file;
-    FaultPlan fault_plan;
     bool want_gantt = false;
     bool want_placements = false;
     bool want_trace = false;
     bool want_pressure = false;
     bool want_speedup = false;
 
-    for (int k = 1; k < argc; ++k) {
-        const std::string arg = argv[k];
+    for (size_t k = 0; k < args.size(); ++k) {
+        if (parseGridFlag(argv[0], usage, args, k, flags))
+            continue;
+        const std::string arg = args[k];
         auto next = [&]() -> std::string {
-            if (k + 1 >= argc)
+            if (k + 1 >= args.size())
                 usage(argv[0], arg + " needs a value");
-            return argv[++k];
+            return args[++k];
         };
         if (arg == "--version") {
             return printToolVersion("csched_cli");
@@ -165,41 +157,6 @@ main(int argc, char **argv)
             algorithm_arg = next();
         } else if (arg == "--sequence") {
             sequence = next();
-        } else if (arg == "--json") {
-            json_file = next();
-        } else if (arg == "--jobs" || arg == "--deadline-ms" ||
-                   arg == "--retries" || arg == "--mem-limit-mb") {
-            const std::string text = next();
-            int parsed = 0;
-            try {
-                parsed = std::stoi(text);
-            } catch (...) {
-                usage(argv[0], arg + " expects an integer, got '" +
-                                   text + "'");
-            }
-            if (parsed < 0)
-                usage(argv[0], arg + " must be >= 0");
-            (arg == "--jobs"          ? jobs
-             : arg == "--deadline-ms" ? deadline_ms
-             : arg == "--retries"     ? retries
-                                      : mem_limit_mb) = parsed;
-        } else if (arg == "--isolate") {
-            isolate = true;
-        } else if (arg == "--journal") {
-            journal_file = next();
-        } else if (arg == "--resume") {
-            resume = true;
-        } else if (arg == "--hosts") {
-            hosts_csv = next();
-        } else if (arg == "--dist-opts") {
-            // Hidden: dist-client timing overrides for tests and CI
-            // (see DistOptions::applyOverrides).
-            const Status applied =
-                DistOptions::applyOverrides(&dist_options, next());
-            if (!applied.ok())
-                usage(argv[0], "--dist-opts: " + applied.message());
-        } else if (arg == "--keep-going") {
-            keep_going = true;
         } else if (arg == "--online") {
             online = true;
         } else if (arg == "--streams") {
@@ -210,14 +167,6 @@ main(int argc, char **argv)
             policies_csv = next();
         } else if (arg == "--emit-trace") {
             trace_file = next();
-        } else if (arg == "--inject") {
-            // Hidden: deterministic fault injection for the
-            // robustness tests (see fault_injection.hh).
-            std::string why;
-            const auto parsed_plan = FaultPlan::parse(next(), &why);
-            if (!parsed_plan.has_value())
-                usage(argv[0], "--inject: " + why);
-            fault_plan = *parsed_plan;
         } else if (arg == "--dot") {
             dot_file = next();
         } else if (arg == "--gantt") {
@@ -242,48 +191,44 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (resume && journal_file.empty())
+    const GridSpec &exec = flags.grid;
+    if (exec.resume && exec.journalPath.empty())
         usage(argv[0], "--resume requires --journal");
-    if (!journal_file.empty() && json_file.empty())
+    if (!exec.journalPath.empty() && flags.jsonFile.empty())
         usage(argv[0], "--journal requires --json (it journals the "
                        "structured run)");
-    if (!hosts_csv.empty() && json_file.empty())
+    if (!exec.hosts.empty() && flags.jsonFile.empty())
         usage(argv[0], "--hosts requires --json (remote execution "
                        "runs the structured grid)");
-    if (!hosts_csv.empty() && isolate)
+    if (!exec.hosts.empty() && exec.isolate)
         usage(argv[0], "--hosts and --isolate are mutually exclusive "
                        "(remote hosts already isolate every job)");
 
     installGridSignalHandlers();
 
     if (online) {
-        OnlineGridSpec sweep;
-        sweep.streams = split(streams_csv, ',');
+        // An offline algorithm on a stream would only fail per cell,
+        // so reject it up front as a usage error.
+        GridSpec &grid = flags.grid;
+        grid.workloads = split(streams_csv, ',');
         // splitMachineList, not a bare split: faults= suffixes carry
         // commas of their own.
-        sweep.machines = splitMachineList(machines_csv);
-        sweep.policies = split(policies_csv, ',');
-        sweep.jobs = jobs;
-        sweep.deadlineMs = deadline_ms;
-        sweep.retries = retries;
-        sweep.journalPath = journal_file;
-        sweep.resume = resume;
-        sweep.isolate = isolate;
-        sweep.memLimitMb = mem_limit_mb;
-        if (!fault_plan.empty())
-            sweep.faults = &fault_plan;
-        auto grid = makeOnlineGrid(sweep);
-        if (!grid.ok())
-            usage(argv[0], grid.status().message());
-        if (!hosts_csv.empty()) {
-            grid->hosts = split(hosts_csv, ',');
-            grid->dist = &dist_options;
+        grid.machines = splitMachineList(machines_csv);
+        grid.computeSpeedup = false;
+        for (const std::string &policy : split(policies_csv, ',')) {
+            std::string error;
+            if (!parseOnlinePolicy(policy, &error))
+                usage(argv[0], error);
+            grid.algorithms.push_back(*parseAlgorithmSpec(policy));
         }
 
         if (!trace_file.empty()) {
             std::string traces;
-            for (const std::string &stream : sweep.streams) {
-                const auto parsed_stream = parseStreamSpec(stream);
+            for (const std::string &stream : grid.workloads) {
+                std::string error;
+                const auto parsed_stream = parseStreamSpec(stream, &error);
+                if (!parsed_stream.has_value())
+                    usage(argv[0], error);
                 auto arrivals = generateArrivals(*parsed_stream);
                 if (!arrivals.ok()) {
                     std::cerr << argv[0] << ": "
@@ -301,8 +246,9 @@ main(int argc, char **argv)
             std::cout << "wrote " << trace_file << "\n";
         }
 
-        const GridReport report = runGrid(*grid);
-        if (json_file.empty() || json_file == "-") {
+        auto print_lines = [&](const GridReport &report) {
+            if (!flags.jsonFile.empty() && flags.jsonFile != "-")
+                return;
             for (const auto &job : report.results) {
                 std::cout << job.workload << " on " << job.machine
                           << " via " << job.algorithm << ": ";
@@ -321,25 +267,9 @@ main(int argc, char **argv)
                           << ", preemptions " << job.preemptions
                           << "\n";
             }
-        }
-        if (!json_file.empty()) {
-            if (json_file == "-") {
-                writeGridReport(std::cout, report);
-            } else {
-                FaultScope report_faults(sweep.faults, "report");
-                ScopedFaultScope report_fault_guard(&report_faults);
-                const Status written = writeFileAtomic(
-                    json_file, gridReportToJson(report));
-                if (!written.ok()) {
-                    std::cerr << argv[0] << ": " << written.toString()
-                              << "\n";
-                    return 1;
-                }
-                std::cout << "wrote " << json_file << "\n";
-            }
-        }
-        printFailureSummary(std::cerr, report);
-        return gridExitCode(report, keep_going);
+        };
+        return runGridAndReport(argv[0], usage, flags, ReportOptions(),
+                                true, print_lines);
     }
 
     std::string error;
@@ -374,7 +304,7 @@ main(int argc, char **argv)
     // The interactive run is one "job": same fault scope key, deadline,
     // and bounded-retry loop as a grid cell (see runner/job.hh), but
     // keeping the Schedule object for the inspection flags below.
-    FaultScope faults(fault_plan.empty() ? nullptr : &fault_plan,
+    FaultScope faults(flags.faults.empty() ? nullptr : &flags.faults,
                       workload + "/" + machine_spec + "/" +
                           algorithm_spec.text());
     ScopedFaultScope fault_guard(&faults);
@@ -382,8 +312,8 @@ main(int argc, char **argv)
     auto attemptRun = [&]() -> StatusOr<RunResult> {
         try {
             CancelToken token;
-            if (deadline_ms > 0)
-                token.armDeadline(deadline_ms);
+            if (exec.deadlineMs > 0)
+                token.armDeadline(exec.deadlineMs);
             ScopedCancelToken cancel_guard(&token);
             checkpoint("runner.job.start");
             auto algorithm = tryMakeAlgorithm(algorithm_spec, *machine);
@@ -398,7 +328,7 @@ main(int argc, char **argv)
     int attempts = 1;
     while (!run.ok() && run.status().code() != ErrorCode::InvalidSpec &&
            run.status().code() != ErrorCode::Interrupted &&
-           attempts <= retries) {
+           attempts <= exec.retries) {
         ++attempts;
         run = attemptRun();
     }
@@ -409,7 +339,7 @@ main(int argc, char **argv)
                   << run.status().toString() << "\n";
         if (run.status().code() == ErrorCode::Interrupted)
             return interruptExitCode(interruptSignal());
-        return keep_going ? 0 : 1;
+        return flags.keepGoing ? 0 : 1;
     }
     const Schedule &schedule = run->result.schedule;
 
@@ -425,7 +355,7 @@ main(int argc, char **argv)
         if (!base.ok()) {
             std::cerr << argv[0] << ": " << base.status().toString()
                       << "\n";
-            return keep_going ? 0 : 1;
+            return flags.keepGoing ? 0 : 1;
         }
         std::cout << "speedup vs one cluster: "
                   << formatDouble(static_cast<double>(*base) /
@@ -471,42 +401,13 @@ main(int argc, char **argv)
         }
         std::cout << "wrote " << dot_file << "\n";
     }
-    if (!json_file.empty()) {
-        GridSpec grid;
-        grid.workloads = {workload};
-        grid.machines = {machine_spec};
-        grid.algorithms = {algorithm_spec};
-        grid.jobs = jobs;
-        grid.computeSpeedup = want_speedup;
-        grid.deadlineMs = deadline_ms;
-        grid.retries = retries;
-        grid.journalPath = journal_file;
-        grid.resume = resume;
-        grid.isolate = isolate;
-        grid.memLimitMb = mem_limit_mb;
-        if (!hosts_csv.empty()) {
-            grid.hosts = split(hosts_csv, ',');
-            grid.dist = &dist_options;
-        }
-        if (!fault_plan.empty())
-            grid.faults = &fault_plan;
-        const GridReport report = runGrid(grid);
-        if (json_file == "-") {
-            writeGridReport(std::cout, report);
-        } else {
-            FaultScope report_faults(grid.faults, "report");
-            ScopedFaultScope report_fault_guard(&report_faults);
-            const Status written =
-                writeFileAtomic(json_file, gridReportToJson(report));
-            if (!written.ok()) {
-                std::cerr << argv[0] << ": " << written.toString()
-                          << "\n";
-                return 1;
-            }
-            std::cout << "wrote " << json_file << "\n";
-        }
-        printFailureSummary(std::cerr, report);
-        return gridExitCode(report, keep_going);
+    if (!flags.jsonFile.empty()) {
+        flags.grid.workloads = {workload};
+        flags.grid.machines = {machine_spec};
+        flags.grid.algorithms = {algorithm_spec};
+        flags.grid.computeSpeedup = want_speedup;
+        return runGridAndReport(argv[0], usage, flags, ReportOptions(),
+                                true, nullptr);
     }
     return 0;
 }
