@@ -21,11 +21,13 @@ Status
 checkRowInvariants(const PreferenceMatrix &weights, InstrId i,
                    const std::string &pass)
 {
-    // Per-weight slack for accumulated rounding; the row-sum check
-    // gets a little more because it sums num_times * num_clusters
-    // rounded terms.
-    constexpr double kSlack = 1e-9;
-    constexpr double kSumSlack = 1e-6;
+    // The normalize() sweep that wrote these exact bytes already ran
+    // this check (same tolerances, same sums).
+    if (weights.verified(i))
+        return Status();
+
+    constexpr double kSlack = PreferenceMatrix::kWeightSlack;
+    constexpr double kSumSlack = PreferenceMatrix::kSumSlack;
 
     const auto fail = [&pass, i](const std::string &what) {
         return Status::checkFailed(
@@ -34,18 +36,22 @@ checkRowInvariants(const PreferenceMatrix &weights, InstrId i,
     };
 
     // Slots outside the row's feasible window are exactly zero by
-    // construction, so checking the window checks the whole row.
+    // construction, so checking the window checks the whole row.  The
+    // row sum is the sum of the cluster sums, as in normalize()'s
+    // verdict.
     const auto row = weights.row(i);
     double sum = 0.0;
     for (int c = 0; c < weights.numClusters(); ++c) {
+        double cluster_sum = 0.0;
         for (const double w : row.windowSpan(c)) {
             if (!std::isfinite(w))
                 return fail("non-finite weight");
             if (w < -kSlack || w > 1.0 + kSlack)
                 return fail("weight " + std::to_string(w) +
                             " outside [0, 1]");
-            sum += w;
+            cluster_sum += w;
         }
+        sum += cluster_sum;
     }
     if (std::abs(sum - 1.0) > kSumSlack)
         return fail("row sums to " + std::to_string(sum) + ", not 1");
@@ -123,14 +129,13 @@ ConvergentScheduler::schedule(const DependenceGraph &graph) const
     // front (zero + renormalize): passes then redistribute preference
     // mass among alive clusters only, and INITTIME's capability
     // masking keeps the columns zero for the rest of the pipeline.
+    // Every row is still pristine, so this rewrites only the template.
     if (machine_.degraded()) {
-        for (InstrId i = 0; i < n; ++i) {
-            auto row = weights.row(i);
-            for (int c = 0; c < machine_.numClusters(); ++c)
-                if (!machine_.clusterAlive(c))
-                    row.zeroCluster(c);
-            row.normalize();
-        }
+        std::vector<int> dead;
+        for (int c = 0; c < machine_.numClusters(); ++c)
+            if (!machine_.clusterAlive(c))
+                dead.push_back(c);
+        weights.maskPristineClusters(dead);
     }
     Rng rng(params_.noiseSeed);
     PassContext ctx{graph, machine_, weights, params_, rng};
@@ -163,10 +168,12 @@ ConvergentScheduler::schedule(const DependenceGraph &graph) const
             // Guard the Section-3 invariants after every pass.  Rows
             // the pass did not touch still hold the invariants they
             // were last checked with, so the touched rows are the
-            // whole check.  A pass that scaled without normalizing is
-            // healed by one renormalization (which logs every row it
-            // rescales); anything normalization cannot restore
-            // (non-finite weights) gets the pass rolled back.
+            // whole check, and a touched row whose last write was a
+            // verified normalize() costs a flag test.  A pass that
+            // scaled without normalizing is healed by one
+            // renormalization (which logs every row it rescales);
+            // anything normalization cannot restore (non-finite
+            // weights) gets the pass rolled back.
             if (!checkWeightInvariants(weights, weights.touchedRows(),
                                        pass->name())
                      .ok()) {

@@ -37,7 +37,9 @@ Status checkWeightInvariants(const PreferenceMatrix &weights,
                              const std::string &pass);
 
 /**
- * The same check over @p rows only.  The scheduler calls this after
+ * The same check over @p rows only.  Both overloads trust a row that
+ * PreferenceMatrix::verified() vouches for and walk every other row.
+ * The scheduler calls this after
  * every pass with the rows the pass touched (the matrix's undo log):
  * an untouched row keeps the invariants it was last checked with.  On
  * violation it renormalizes once (the legitimate fix for a pass that

@@ -1,6 +1,7 @@
 #include "convergent/preference_matrix.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "support/logging.hh"
 #include "support/rng.hh"
@@ -20,6 +21,100 @@
 
 namespace csched {
 
+namespace {
+
+/** Index of the largest of @p n values; the lowest index wins ties. */
+int
+argmax(const double *values, int n)
+{
+    int best = 0;
+    for (int k = 1; k < n; ++k)
+        if (values[k] > values[best])
+            best = k;
+    return best;
+}
+
+/** Row total over [lo, hi), t-major (normalize's accumulation order). */
+double
+rowTotal(const double *row, int num_times, int num_clusters, int lo, int hi)
+{
+    double sum = 0.0;
+    for (int t = lo; t < hi; ++t)
+        for (int c = 0; c < num_clusters; ++c)
+            sum += row[static_cast<size_t>(c) * num_times + t];
+    return sum;
+}
+
+/**
+ * normalize()'s arithmetic on a row of @p num_clusters blocks of
+ * @p num_times weights, window [lo, hi).  If the row total is ~0 the
+ * whole row is reset to the uniform 1 / (T*C) and false is returned.
+ * Otherwise one sweep, cluster by cluster with t ascending, rescales
+ * the window to sum 1, folds each cluster's sum into space[c]
+ * (refreshSpace's order, so the sums are bit-identical) and
+ * range-tests every weight written against @p slack; *in_range gets
+ * the verdict.  The comparisons are combined without branching, so
+ * NaN and inf fail them.
+ */
+bool
+normalizeSweep(double *row, int num_times, int num_clusters, int lo, int hi,
+               double slack, double *space, bool *in_range)
+{
+    const double sum = rowTotal(row, num_times, num_clusters, lo, hi);
+    if (sum <= 1e-300) {
+        const size_t stride = static_cast<size_t>(num_times) * num_clusters;
+        std::fill(row, row + stride, 1.0 / static_cast<double>(stride));
+        return false;
+    }
+    const double inv = 1.0 / sum;
+    unsigned ok = 1;
+    for (int c = 0; c < num_clusters; ++c) {
+        double *b = row + static_cast<size_t>(c) * num_times;
+        double cluster_sum = 0.0;
+        for (int t = lo; t < hi; ++t) {
+            b[t] *= inv;
+            cluster_sum += b[t];
+            ok &= static_cast<unsigned>(b[t] >= -slack) &
+                  static_cast<unsigned>(b[t] <= 1.0 + slack);
+        }
+        space[c] = cluster_sum;
+    }
+    *in_range = ok != 0;
+    return true;
+}
+
+/** Cluster sums over [lo, hi): t ascending within each cluster. */
+void
+sumClusters(const double *row, int num_times, int num_clusters, int lo,
+            int hi, double *space)
+{
+    for (int c = 0; c < num_clusters; ++c) {
+        const double *b = row + static_cast<size_t>(c) * num_times;
+        double sum = 0.0;
+        for (int t = lo; t < hi; ++t)
+            sum += b[t];
+        space[c] = sum;
+    }
+}
+
+/**
+ * Slot sums over [lo, hi), c ascending within each slot; walked
+ * cluster-major, which performs the same additions in the same order.
+ */
+void
+sumSlots(const double *row, int num_times, int num_clusters, int lo, int hi,
+         double *time)
+{
+    std::fill(time + lo, time + hi, 0.0);
+    for (int c = 0; c < num_clusters; ++c) {
+        const double *b = row + static_cast<size_t>(c) * num_times;
+        for (int t = lo; t < hi; ++t)
+            time[t] += b[t];
+    }
+}
+
+} // namespace
+
 PreferenceMatrix::PreferenceMatrix(int num_instrs, int num_times,
                                    int num_clusters)
     : numInstrs_(num_instrs),
@@ -30,18 +125,42 @@ PreferenceMatrix::PreferenceMatrix(int num_instrs, int num_times,
     CSCHED_ASSERT(num_instrs > 0, "matrix needs instructions");
     CSCHED_ASSERT(num_times > 0, "matrix needs time slots");
     CSCHED_ASSERT(num_clusters > 0, "matrix needs clusters");
-    const double uniform = 1.0 / static_cast<double>(rowStride_);
-    arena_.assign(static_cast<size_t>(num_instrs) * rowStride_, uniform);
+    // Zero pages from calloc: every row starts pristine and reads the
+    // template, so neither arena is written here.
+    arena_.resize(static_cast<size_t>(num_instrs) * rowStride_);
     timeOff_ = static_cast<size_t>(num_instrs) * num_clusters;
-    cache_.assign(timeOff_ + static_cast<size_t>(num_instrs) * num_times,
-                  0.0);
+    cache_.resize(timeOff_ + static_cast<size_t>(num_instrs) * num_times);
+    template_.assign(rowStride_, 1.0 / static_cast<double>(rowStride_));
     winLo_.assign(num_instrs, 0);
     winHi_.assign(num_instrs, num_times);
     spaceValid_.assign(num_instrs, 0);
+    preferred_.assign(num_instrs, 0);
     timeValid_.assign(num_instrs, 0);
-    clean_.assign(num_instrs, 0);
+    clean_.assign(num_instrs, kDirty);
     pristine_.assign(num_instrs, 1);
     logged_.assign(num_instrs, 0);
+}
+
+void
+PreferenceMatrix::maskPristineClusters(std::span<const int> clusters)
+{
+    CSCHED_ASSERT(std::all_of(pristine_.begin(), pristine_.end(),
+                              [](uint8_t p) { return p != 0; }),
+                  "maskPristineClusters needs every row pristine");
+    for (const int c : clusters) {
+        checkIndex(0, 0, c);
+        std::fill_n(template_.begin() + static_cast<size_t>(c) * numTimes_,
+                    numTimes_, 0.0);
+    }
+    // rowNormalize's arithmetic, once, on the template.
+    std::vector<double> space(numClusters_);
+    bool in_range = false;
+    normalizeSweep(template_.data(), numTimes_, numClusters_, 0, numTimes_,
+                   kWeightSlack, space.data(), &in_range);
+    // Every row is now in the state a per-row normalize leaves.
+    std::fill(clean_.begin(), clean_.end(), kClean);
+    std::fill(spaceValid_.begin(), spaceValid_.end(), 0);
+    std::fill(timeValid_.begin(), timeValid_.end(), 0);
 }
 
 void
@@ -77,7 +196,14 @@ PreferenceMatrix::markMutated(InstrId i)
 {
     spaceValid_[i] = 0;
     timeValid_[i] = 0;
-    clean_[i] = 0;
+    clean_[i] = kDirty;
+}
+
+void
+PreferenceMatrix::materialize(InstrId i)
+{
+    std::copy(template_.begin(), template_.end(), rowData(i));
+    pristine_[i] = 0;
 }
 
 void
@@ -117,29 +243,32 @@ PreferenceMatrix::beginUndo()
 void
 PreferenceMatrix::rollback()
 {
-    const double uniform = 1.0 / static_cast<double>(rowStride_);
     for (size_t k = 0; k < touched_.size(); ++k) {
         const InstrId i = touched_[k];
         const UndoRecord &saved = undo_[k];
-        if (saved.pristine) {
-            double *r = rowData(i);
-            std::fill(r, r + rowStride_, uniform);
-        } else {
-            // The current window may be wider than the saved one (set
-            // and blend widen): clear it, so every slot outside the
-            // restored window is +0.0 again.
+        // The current window may be wider than the saved one (set and
+        // blend widen): clear it, so every slot outside the restored
+        // window is +0.0 again -- and a row going back to pristine is
+        // all +0.0 again.
+        if (!pristine_[i]) {
+            for (int c = 0; c < numClusters_; ++c) {
+                double *b = writeBlock(i, c);
+                std::fill(b + winLo_[i], b + winHi_[i], 0.0);
+            }
+        }
+        if (!saved.pristine) {
             const double *from = undoData_.data() + saved.offset;
             const int width = saved.hi - saved.lo;
             for (int c = 0; c < numClusters_; ++c) {
-                double *b = block(i, c);
-                std::fill(b + winLo_[i], b + winHi_[i], 0.0);
-                std::copy(from, from + width, b + saved.lo);
+                std::copy(from, from + width, writeBlock(i, c) + saved.lo);
                 from += width;
             }
         }
         winLo_[i] = saved.lo;
         winHi_[i] = saved.hi;
-        clean_[i] = saved.clean;
+        // The restored bytes are clean if they were, but the guard
+        // walks them again before it trusts them.
+        clean_[i] = std::min(saved.clean, kClean);
         pristine_[i] = saved.pristine;
         spaceValid_[i] = 0;
         timeValid_[i] = 0;
@@ -155,17 +284,9 @@ PreferenceMatrix::refreshSpace(InstrId i) const
 {
     if (spaceValid_[i])
         return;
-    const int lo = winLo_[i];
-    const int hi = winHi_[i];
-    double *space = spaceSums(i);
-    for (int c = 0; c < numClusters_; ++c) {
-        const double *b = block(i, c);
-        double sum = 0.0;
-        for (int t = lo; t < hi; ++t)
-            sum += b[t];
-        space[c] = sum;
-    }
-    spaceValid_[i] = 1;
+    sumClusters(block(i, 0), numTimes_, numClusters_, winLo_[i], winHi_[i],
+                spaceSums(i));
+    spaceValid_[i] = kSumsValid;
 }
 
 void
@@ -173,17 +294,10 @@ PreferenceMatrix::refreshTime(InstrId i) const
 {
     if (timeValid_[i])
         return;
-    const int lo = winLo_[i];
-    const int hi = winHi_[i];
-    const double *r = rowData(i);
-    double *time = timeSums(i);
-    std::fill(time, time + numTimes_, 0.0);
-    for (int t = lo; t < hi; ++t) {
-        double sum = 0.0;
-        for (int c = 0; c < numClusters_; ++c)
-            sum += r[static_cast<size_t>(c) * numTimes_ + t];
-        time[t] = sum;
-    }
+    // Only [lo, hi) is written: readers treat the slots outside the
+    // window as the +0.0 the weights there are.
+    sumSlots(block(i, 0), numTimes_, numClusters_, winLo_[i], winHi_[i],
+             timeSums(i));
     timeValid_[i] = 1;
 }
 
@@ -202,7 +316,7 @@ PreferenceMatrix::rowSet(InstrId i, int t, int c, double value)
     checkIndex(i, t, c);
     CSCHED_ASSERT(value >= 0.0, "negative weight ", value);
     willMutate(i);
-    block(i, c)[t] = value;
+    writeBlock(i, c)[t] = value;
     if (value != 0.0) {
         // Widen the feasible window; the gap slots are already zero.
         winLo_[i] = std::min(winLo_[i], t);
@@ -217,7 +331,7 @@ PreferenceMatrix::rowScaleSlot(InstrId i, int t, int c, double factor)
     checkIndex(i, t, c);
     CSCHED_ASSERT(factor >= 0.0, "negative factor ", factor);
     willMutate(i);
-    block(i, c)[t] *= factor;
+    writeBlock(i, c)[t] *= factor;
     markMutated(i);
 }
 
@@ -229,23 +343,24 @@ PreferenceMatrix::rowScaleCluster(InstrId i, int c, double factor)
     willMutate(i);
     const int lo = winLo_[i];
     const int hi = winHi_[i];
-    double *b = block(i, c);
+    double *b = writeBlock(i, c);
     if (spaceValid_[i]) {
         // Fused: refresh this cluster's space marginal in the same
         // sweep (the other clusters' blocks are untouched, so their
-        // cached sums stay exact).
+        // cached sums stay exact); the argmax may move.
         double sum = 0.0;
         for (int t = lo; t < hi; ++t) {
             b[t] *= factor;
             sum += b[t];
         }
         spaceSums(i)[c] = sum;
+        spaceValid_[i] = kSumsValid;
     } else {
         for (int t = lo; t < hi; ++t)
             b[t] *= factor;
     }
     timeValid_[i] = 0;
-    clean_[i] = 0;
+    clean_[i] = kDirty;
 }
 
 void
@@ -260,7 +375,7 @@ PreferenceMatrix::rowScaleClusters(InstrId i, const double *factors)
     for (int c = 0; c < numClusters_; ++c) {
         const double factor = factors[c];
         CSCHED_ASSERT(factor >= 0.0, "negative factor ", factor);
-        double *b = block(i, c);
+        double *b = writeBlock(i, c);
         if (keep_space) {
             double sum = 0.0;
             for (int t = lo; t < hi; ++t) {
@@ -273,8 +388,10 @@ PreferenceMatrix::rowScaleClusters(InstrId i, const double *factors)
                 b[t] *= factor;
         }
     }
+    if (keep_space)
+        spaceValid_[i] = kSumsValid;
     timeValid_[i] = 0;
-    clean_[i] = 0;
+    clean_[i] = kDirty;
 }
 
 void
@@ -293,7 +410,7 @@ PreferenceMatrix::rowScaleTime(InstrId i, int t, double factor)
         timeSums(i)[t] = sum;
     }
     spaceValid_[i] = 0;
-    clean_[i] = 0;
+    clean_[i] = kDirty;
 }
 
 void
@@ -301,41 +418,52 @@ PreferenceMatrix::rowZeroCluster(InstrId i, int c)
 {
     checkIndex(i, 0, c);
     willMutate(i);
-    double *b = block(i, c);
+    double *b = writeBlock(i, c);
     std::fill(b + winLo_[i], b + winHi_[i], 0.0);
-    if (spaceValid_[i])
+    if (spaceValid_[i]) {
         spaceSums(i)[c] = 0.0;
+        spaceValid_[i] = kSumsValid;
+    }
     timeValid_[i] = 0;
-    clean_[i] = 0;
+    clean_[i] = kDirty;
 }
 
 void
 PreferenceMatrix::rowRestrictTimeWindow(InstrId i, int lo, int hi)
 {
     checkInstr(i);
-    willMutate(i);
+    logTouch(i);
     lo = std::max(lo, 0);
     hi = std::min(hi, numTimes_);
     const int new_lo = std::max(winLo_[i], lo);
     const int new_hi = std::min(winHi_[i], hi);
-    if (new_lo >= new_hi) {
-        // Empty feasible window: the whole row becomes zero (a
-        // following normalize() resets it to uniform).
-        for (int c = 0; c < numClusters_; ++c) {
-            double *b = block(i, c);
-            std::fill(b + winLo_[i], b + winHi_[i], 0.0);
+    // An empty feasible window makes the whole row zero (a following
+    // normalize() resets it to uniform).
+    const bool empty = new_lo >= new_hi;
+    if (pristine_[i]) {
+        // The row's own bytes are all +0.0: copy in only the narrowed
+        // window of the template.
+        if (!empty) {
+            for (int c = 0; c < numClusters_; ++c) {
+                const double *from = block(i, c);
+                std::copy(from + new_lo, from + new_hi,
+                          writeBlock(i, c) + new_lo);
+            }
         }
-        winLo_[i] = 0;
-        winHi_[i] = 0;
+        pristine_[i] = 0;
     } else {
         for (int c = 0; c < numClusters_; ++c) {
-            double *b = block(i, c);
-            std::fill(b + winLo_[i], b + new_lo, 0.0);
-            std::fill(b + new_hi, b + winHi_[i], 0.0);
+            double *b = writeBlock(i, c);
+            if (empty) {
+                std::fill(b + winLo_[i], b + winHi_[i], 0.0);
+            } else {
+                std::fill(b + winLo_[i], b + new_lo, 0.0);
+                std::fill(b + new_hi, b + winHi_[i], 0.0);
+            }
         }
-        winLo_[i] = new_lo;
-        winHi_[i] = new_hi;
     }
+    winLo_[i] = empty ? 0 : new_lo;
+    winHi_[i] = empty ? 0 : new_hi;
     markMutated(i);
 }
 
@@ -371,11 +499,12 @@ PreferenceMatrix::rowBlendFrom(InstrId i, InstrId other, double w)
                   " outside [0, 1]");
     willMutate(i);
     // The blended row can pick up mass anywhere the source has some:
-    // widen to the union of the two windows.
+    // widen to the union of the two windows.  A pristine source reads
+    // the template.
     const int lo = std::min(winLo_[i], winLo_[other]);
     const int hi = std::max(winHi_[i], winHi_[other]);
     for (int c = 0; c < numClusters_; ++c) {
-        double *dst = block(i, c);
+        double *dst = writeBlock(i, c);
         const double *src = block(other, c);
         for (int t = lo; t < hi; ++t)
             dst[t] = w * dst[t] + (1.0 - w) * src[t];
@@ -389,7 +518,7 @@ void
 PreferenceMatrix::rowNormalize(InstrId i)
 {
     checkInstr(i);
-    if (clean_[i]) {
+    if (clean_[i] != kDirty) {
         // Unchanged since the last normalize: the row sum is exactly
         // the post-normalize sum, so rescanning cannot improve it.
         return;
@@ -397,31 +526,28 @@ PreferenceMatrix::rowNormalize(InstrId i)
     willMutate(i);
     const int lo = winLo_[i];
     const int hi = winHi_[i];
-    double *r = rowData(i);
-    // t-major accumulation, matching the flat full-row sum of the
-    // per-element engine.
-    double sum = 0.0;
-    for (int t = lo; t < hi; ++t)
-        for (int c = 0; c < numClusters_; ++c)
-            sum += r[static_cast<size_t>(c) * numTimes_ + t];
-    if (sum <= 1e-300) {
-        // Every slot was squashed; reset to uniform rather than leave
-        // the instruction unschedulable.
-        const double uniform = 1.0 / static_cast<double>(rowStride_);
-        std::fill(r, r + rowStride_, uniform);
+    double *space = spaceSums(i);
+    bool in_range = false;
+    if (!normalizeSweep(rowData(i), numTimes_, numClusters_, lo, hi,
+                        kWeightSlack, space, &in_range)) {
+        // Every slot was squashed and the row was reset to uniform
+        // rather than left unschedulable.  The guard walks the reset
+        // row: it is clean but not verified.
         winLo_[i] = 0;
         winHi_[i] = numTimes_;
-    } else {
-        const double inv = 1.0 / sum;
-        for (int c = 0; c < numClusters_; ++c) {
-            double *b = block(i, c);
-            for (int t = lo; t < hi; ++t)
-                b[t] *= inv;
-        }
+        spaceValid_[i] = 0;
+        timeValid_[i] = 0;
+        clean_[i] = kClean;
+        return;
     }
-    spaceValid_[i] = 0;
+    double total = 0.0;
+    for (int c = 0; c < numClusters_; ++c)
+        total += space[c];
+    preferred_[i] = argmax(space, numClusters_);
+    spaceValid_[i] = kArgmaxValid;
     timeValid_[i] = 0;
-    clean_[i] = 1;
+    clean_[i] = in_range && std::abs(total - 1.0) <= kSumSlack ? kVerified
+                                                                : kClean;
 }
 
 void
@@ -445,6 +571,8 @@ double
 PreferenceMatrix::timeMarginal(InstrId i, int t) const
 {
     checkIndex(i, t, 0);
+    if (t < winLo_[i] || t >= winHi_[i])
+        return 0.0;
     refreshTime(i);
     return timeSums(i)[t];
 }
@@ -454,12 +582,11 @@ PreferenceMatrix::preferredCluster(InstrId i) const
 {
     checkInstr(i);
     refreshSpace(i);
-    const double *space = spaceSums(i);
-    int best = 0;
-    for (int c = 1; c < numClusters_; ++c)
-        if (space[c] > space[best])
-            best = c;
-    return best;
+    if (spaceValid_[i] != kArgmaxValid) {
+        preferred_[i] = argmax(spaceSums(i), numClusters_);
+        spaceValid_[i] = kArgmaxValid;
+    }
+    return preferred_[i];
 }
 
 int
@@ -467,11 +594,21 @@ PreferenceMatrix::preferredTime(InstrId i) const
 {
     checkInstr(i);
     refreshTime(i);
+    // The argmax over every slot, scanning only the window: the slots
+    // outside it are +0.0, so slot 0 is the answer until some window
+    // slot beats 0 (or beats slot 0 itself, when the window starts
+    // there).
+    const int lo = winLo_[i];
+    const int hi = winHi_[i];
     const double *time = timeSums(i);
     int best = 0;
-    for (int t = 1; t < numTimes_; ++t)
-        if (time[t] > time[best])
+    double top = lo == 0 && hi > 0 ? time[0] : 0.0;
+    for (int t = std::max(lo, 1); t < hi; ++t) {
+        if (time[t] > top) {
+            top = time[t];
             best = t;
+        }
+    }
     return best;
 }
 
@@ -495,11 +632,11 @@ PreferenceMatrix::expectedTime(InstrId i) const
 int
 PreferenceMatrix::runnerUpCluster(InstrId i) const
 {
+    checkInstr(i);
     if (numClusters_ == 1)
         return 0;
-    refreshSpace(i);
-    const double *space = spaceSums(i);
     const int preferred = preferredCluster(i);
+    const double *space = spaceSums(i);
     int best = preferred == 0 ? 1 : 0;
     for (int c = 0; c < numClusters_; ++c)
         if (c != preferred && space[c] > space[best])
@@ -510,6 +647,7 @@ PreferenceMatrix::runnerUpCluster(InstrId i) const
 double
 PreferenceMatrix::confidence(InstrId i) const
 {
+    checkInstr(i);
     if (numClusters_ == 1)
         return 1.0;
     const double top = spaceMarginal(i, preferredCluster(i));

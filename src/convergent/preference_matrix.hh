@@ -23,47 +23,70 @@
  * so the inner dimension of the hottest batched operation
  * (scaleCluster, the per-cluster multiply behind almost every pass)
  * is a contiguous T-long block instead of a stride-C walk.  Marginal
- * caches live in the same arena and are maintained incrementally:
+ * caches live in a second arena and are maintained incrementally:
  * scaleCluster refreshes exactly the one touched cluster sum while it
  * multiplies, scaleTime refreshes exactly the one touched time sum,
  * and only genuinely row-wide mutations invalidate a side wholesale.
  *
+ * Pristine rows.  Both arenas come from calloc, and construction
+ * writes no weights: a row that no kernel has written yet is
+ * *pristine*, and every read of it (at, windowSpan, the marginals, the
+ * source of a blend) sees one shared template row instead -- uniform
+ * 1 / (T*C), or, after maskPristineClusters() on a degraded machine,
+ * uniform over the alive clusters.  A pristine row's arena bytes stay
+ * +0.0 and its pages uncommitted until the first mutating kernel
+ * copies the template in; restrictTimeWindow() on a pristine row
+ * copies only the narrowed window, so INITTIME never writes the
+ * slots it squashes.
+ *
  * Rows additionally carry a feasible time window [lo, hi): every slot
- * outside the window is exactly +0.0, and every batched kernel
- * iterates the window only.  INITTIME establishes the windows from
- * the earliest-start/latest-finish slack, after which long narrow
- * graphs (fpppp, sha shapes) touch a small fraction of each row.
- * Skipping exact zeros is bit-transparent: weights are non-negative,
- * x + (+0.0) == x and (+0.0) * f == +0.0 bitwise, so windowed sums
- * and scales produce bit-identical results to full-row walks (the
- * differential test in tests/matrix_differential_test.cc holds the
- * engine to that).
+ * outside the window is exactly +0.0, and every batched kernel and
+ * every marginal iterates the window only.  INITTIME establishes the
+ * windows from the earliest-start/latest-finish slack, after which
+ * long narrow graphs (fpppp, sha shapes) touch a small fraction of
+ * each row.  Skipping exact zeros is bit-transparent: weights are
+ * non-negative, x + (+0.0) == x and (+0.0) * f == +0.0 bitwise, so
+ * windowed sums and scales produce bit-identical results to full-row
+ * walks (the differential test in tests/matrix_differential_test.cc
+ * holds the engine to that).
+ *
+ * The normalize sweep.  normalize() is the one walk over a row a pass
+ * pays for after its edits.  Its scaling loop runs cluster by cluster,
+ * t ascending, and in the same loop it
+ *   - accumulates each cluster's space marginal (the order
+ *     refreshSpace would use, so the cached sums are bit-identical)
+ *     and caches the preferred cluster next to them, and
+ *   - range-tests every weight it writes against the Section-3
+ *     tolerances (kWeightSlack, branch-free, so NaN and inf fail) and
+ *     tests |sum_c space[c] - 1| <= kSumSlack.
+ * A row that passes is *verified*: the scheduler's post-pass guard
+ * trusts the verdict, computed on exactly these bytes, and walks only
+ * rows that are unverified -- written after their last normalize,
+ * reset to uniform, rolled back, or failing the test.  Every mutating
+ * kernel clears the verdict.
  *
  * Mutation goes through RowView, a cursor that validates the row
  * index once and then applies fused batched kernels with no
- * per-element dispatch or bounds rechecks.  (The per-element
- * matrix-level mutators that bridged the rewrite are gone; their
- * one-release deprecation window has closed, and ci.sh builds with
- * -Werror=deprecated-declarations to keep such shims out.)  The
- * per-element read path at() is the supported compatibility surface
- * for traces and JSON emitters.
+ * per-element dispatch or bounds rechecks.  The per-element read path
+ * at() is the supported compatibility surface for traces and JSON
+ * emitters.
  *
  * Every summation a kernel performs accumulates in the exact order
  * the pre-rewrite engine used (space marginals ascend t per cluster,
- * time marginals ascend c per slot, normalize ascends t-major), so
- * the rewrite is bit-identical by construction, not just
+ * time marginals ascend c per slot, normalize's row total ascends
+ * t-major), so the rewrite is bit-identical by construction, not just
  * approximately equal.
  *
  * Undo log.  beginUndo() opens a scope in which every mutating kernel
  * saves its row's pre-image the first time it touches the row: the
  * window bounds, the window's weights per cluster, and the clean
  * flag.  (normalize() on a row that is already clean writes nothing
- * and logs nothing.)  A row still in its constructed uniform state is
- * logged as a flag only, so the first pass over a fresh matrix copies
- * no weights.  rollback() restores exactly the logged rows, and
- * touchedRows() names them, so the scheduler's pass guard, rollback
- * and convergence count cost what the pass touched rather than the
- * whole matrix.
+ * and logs nothing.)  A pristine row is logged as a flag only, so the
+ * first pass over a fresh matrix copies no weights, and rolling it
+ * back clears its window and makes it pristine again.  rollback()
+ * restores exactly the logged rows, and touchedRows() names them, so
+ * the scheduler's pass guard, rollback and convergence count cost
+ * what the pass touched rather than the whole matrix.
  */
 
 #ifndef CSCHED_CONVERGENT_PREFERENCE_MATRIX_HH
@@ -71,7 +94,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "ir/instruction.hh"
@@ -79,6 +105,51 @@
 namespace csched {
 
 class Rng;
+
+/**
+ * A calloc-backed allocator whose value-initialization writes nothing:
+ * a vector sized with it starts as zero pages the kernel commits only
+ * when something writes them.  Stateless, so containers using it stay
+ * default-copyable.
+ */
+template <typename T>
+struct ZeroPageAllocator
+{
+    using value_type = T;
+
+    ZeroPageAllocator() = default;
+    template <typename U>
+    ZeroPageAllocator(const ZeroPageAllocator<U> &)
+    {
+    }
+
+    T *
+    allocate(size_t n)
+    {
+        void *p = std::calloc(n, sizeof(T));
+        if (p == nullptr)
+            throw std::bad_alloc();
+        return static_cast<T *>(p);
+    }
+    void deallocate(T *p, size_t) { std::free(p); }
+
+    /** Default-initialize (calloc already zeroed); copy otherwise. */
+    template <typename U, typename... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        if constexpr (sizeof...(Args) == 0)
+            ::new (static_cast<void *>(p)) U;
+        else
+            ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
+
+    friend bool
+    operator==(const ZeroPageAllocator &, const ZeroPageAllocator &)
+    {
+        return true;
+    }
+};
 
 /** Dense per-instruction (time x cluster) weight matrix. */
 class PreferenceMatrix
@@ -89,8 +160,17 @@ class PreferenceMatrix
     class MatrixView;
 
     /**
+     * Section-3 tolerances: the slack every weight gets on [0, 1] for
+     * accumulated rounding, and the slack on a row's sum, which adds
+     * num_times * num_clusters rounded terms.
+     */
+    static constexpr double kWeightSlack = 1e-9;
+    static constexpr double kSumSlack = 1e-6;
+
+    /**
      * Create a matrix with uniform weights: every (t, c) slot of every
-     * instruction gets 1 / (num_times * num_clusters).
+     * instruction gets 1 / (num_times * num_clusters).  Every row
+     * starts pristine; nothing is written.
      */
     PreferenceMatrix(int num_instrs, int num_times, int num_clusters);
 
@@ -116,6 +196,23 @@ class PreferenceMatrix
 
     /** normalize() every instruction. */
     void normalizeAll();
+
+    /**
+     * Zero @p clusters in every row and renormalize: the masking a
+     * degraded machine applies before any pass, bit-identical to a
+     * per-row zeroCluster() of each and normalize().  Legal only while
+     * every row is pristine; it rewrites the shared template once.
+     */
+    void maskPristineClusters(std::span<const int> clusters);
+
+    /**
+     * True while row @p i holds exactly the bytes a normalize() sweep
+     * found within the Section-3 invariants (see the file comment):
+     * every weight in [-kWeightSlack, 1 + kWeightSlack] and the
+     * cluster sums adding to 1 within kSumSlack.  False says nothing
+     * either way; the row has to be walked.
+     */
+    bool verified(InstrId i) const { return clean_[i] == kVerified; }
 
     /** Sum over time of W[i][.][c]. */
     double spaceMarginal(InstrId i, int c) const;
@@ -174,23 +271,39 @@ class PreferenceMatrix
     friend class RowView;
     friend class ConstRowView;
 
+    using Arena = std::vector<double, ZeroPageAllocator<double>>;
+
+    // Clean-flag states.  kClean: normalize() would not change the row.
+    // kVerified: clean, and that normalize's sweep passed the guard.
+    static constexpr uint8_t kDirty = 0;
+    static constexpr uint8_t kClean = 1;
+    static constexpr uint8_t kVerified = 2;
+
+    // Space-cache states: the cluster sums, and the argmax with them.
+    static constexpr uint8_t kSumsValid = 1;
+    static constexpr uint8_t kArgmaxValid = 2;
+
     void checkInstr(InstrId i) const;
     void checkIndex(InstrId i, int t, int c) const;
 
+    /** Row @p i's own arena storage (all +0.0 while it is pristine). */
     double *rowData(InstrId i) { return arena_.data() + dataOff(i); }
-    const double *
-    rowData(InstrId i) const
-    {
-        return arena_.data() + dataOff(i);
-    }
-    /** The contiguous T-long block of cluster @p c in row @p i. */
-    double *
-    block(InstrId i, int c)
-    {
-        return rowData(i) + static_cast<size_t>(c) * numTimes_;
-    }
+
+    /**
+     * The contiguous T-long block of cluster @p c in row @p i, as
+     * every reader sees it: the template's block for a pristine row.
+     */
     const double *
     block(InstrId i, int c) const
+    {
+        const double *row =
+            pristine_[i] ? template_.data() : arena_.data() + dataOff(i);
+        return row + static_cast<size_t>(c) * numTimes_;
+    }
+
+    /** Writable block; only after willMutate() materialized the row. */
+    double *
+    writeBlock(InstrId i, int c)
     {
         return rowData(i) + static_cast<size_t>(c) * numTimes_;
     }
@@ -206,18 +319,28 @@ class PreferenceMatrix
     /** A mutation touched row @p i: caches stale, row not normalized. */
     void markMutated(InstrId i);
 
+    /** Log row @p i's pre-image on its first touch in an open scope. */
+    void
+    logTouch(InstrId i)
+    {
+        if (undoOpen_ && !logged_[i])
+            logPreImage(i);
+    }
+    void logPreImage(InstrId i);
+
     /**
      * Every mutating kernel calls this before it writes row @p i: logs
-     * the pre-image on the row's first touch in an open undo scope.
+     * the pre-image, then gives a pristine row its own copy of the
+     * template.
      */
     void
     willMutate(InstrId i)
     {
-        if (undoOpen_ && !logged_[i])
-            logPreImage(i);
-        pristine_[i] = 0;
+        logTouch(i);
+        if (pristine_[i])
+            materialize(i);
     }
-    void logPreImage(InstrId i);
+    void materialize(InstrId i);
 
     void refreshSpace(InstrId i) const;
     void refreshTime(InstrId i) const;
@@ -246,24 +369,29 @@ class PreferenceMatrix
      * followed by N*T time sums.  Offsets (not pointers) keep the
      * class default-copyable.
      */
-    std::vector<double> arena_;
-    mutable std::vector<double> cache_;
+    Arena arena_;
+    mutable Arena cache_;
     size_t timeOff_; ///< offset of the time sums inside cache_
+
+    /** The row every pristine row reads (C blocks of T, window [0, T)). */
+    std::vector<double> template_;
 
     /** Feasible half-open time windows; slots outside are +0.0. */
     std::vector<int> winLo_;
     std::vector<int> winHi_;
 
-    // Cache validity, per row and per side (1 = valid), plus the
+    // Cache validity per row and side (space: kSumsValid, or
+    // kArgmaxValid with the preferred cluster in preferred_), plus the
     // normalize clean flag: set by normalize(), cleared by every
     // mutation, and normalize() returns immediately when it is still
     // set -- the cached row sum is exactly the post-normalize sum, no
     // epsilon test needed.
     mutable std::vector<uint8_t> spaceValid_;
+    mutable std::vector<int> preferred_;
     mutable std::vector<uint8_t> timeValid_;
     std::vector<uint8_t> clean_;
 
-    /** Per row: 1 while the row still holds its constructed weights. */
+    /** Per row: 1 while the row reads the template, never written. */
     std::vector<uint8_t> pristine_;
 
     /** One logged pre-image; its weights sit in undoData_ at offset. */
@@ -272,7 +400,7 @@ class PreferenceMatrix
         int lo;
         int hi;
         uint8_t clean;
-        uint8_t pristine; ///< no weights stored: refill with uniform
+        uint8_t pristine; ///< no weights stored: clear, read the template
         size_t offset;
     };
 
@@ -341,7 +469,7 @@ class PreferenceMatrix::RowView
     double
     at(int t, int c) const
     {
-        return m_->block(i_, c)[t];
+        return static_cast<const PreferenceMatrix *>(m_)->block(i_, c)[t];
     }
 
     /** A RowView also reads: converts to the read-only cursor. */
@@ -429,7 +557,8 @@ class PreferenceMatrix::RowView
      * to zero the row resets to uniform (no pass may make an
      * instruction unschedulable).  A row that is still clean from a
      * previous normalize -- no mutation since -- returns without
-     * rescanning.
+     * rescanning.  The rescaling sweep also fills the space marginals
+     * and the preferred cluster, and records the guard's verdict.
      */
     void normalize() { m_->rowNormalize(i_); }
 

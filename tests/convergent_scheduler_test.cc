@@ -280,6 +280,75 @@ TEST(ConvergentScheduler, ThrowingPassRollsBackToTheScheduleWithoutIt)
     expectSameAsWithout(rolled_back, without, position, "HALFTHROW");
 }
 
+/**
+ * Boosts every row's preferred slot, normalizes, then boosts it once
+ * more.  The sloppy variant stops there, leaving each row scaled after
+ * its last normalize(); the tidy one normalizes again.
+ */
+class BoostAfterNormalizePass : public Pass
+{
+  public:
+    explicit BoostAfterNormalizePass(bool tidy) : tidy_(tidy) {}
+
+    std::string name() const override { return tidy_ ? "TIDY" : "SLOPPY"; }
+
+    void
+    run(PassContext &ctx) override
+    {
+        auto &weights = ctx.weights;
+        for (InstrId i = 0; i < weights.numInstructions(); ++i) {
+            const int t = weights.preferredTime(i);
+            const int c = weights.runnerUpCluster(i);
+            auto row = weights.row(i);
+            row.scaleSlot(t, c, 3.0);
+            row.normalize();
+            row.scaleSlot(t, c, 40.0);
+            if (tidy_)
+                row.normalize();
+        }
+    }
+
+  private:
+    bool tidy_;
+};
+
+TEST(ConvergentScheduler, ScaleAfterTheLastNormalizeIsWalkedAndHealed)
+{
+    // The sloppy pass's rows are unverified, so the guard walks them,
+    // finds the sums off, and heals them with the one renormalization
+    // the tidy pass performs itself: same weights, same schedule, the
+    // same rows counted -- and nothing skipped.
+    const ClusteredVliwMachine vliw(4);
+    const auto graph = makeRandomDag({.numInstructions = 300,
+                                      .width = 12,
+                                      .banks = 4,
+                                      .preplaceClusters = 4,
+                                      .seed = 5});
+    const size_t position = 3;  // after INITTIME, NOISE, FIRST
+    const auto run = [&](bool tidy) {
+        auto passes = parsePassSequence(vliwPassSequence());
+        passes.insert(passes.begin() + position,
+                      std::make_unique<BoostAfterNormalizePass>(tidy));
+        return ConvergentScheduler(vliw, std::move(passes),
+                                   vliwPassParams())
+            .schedule(graph);
+    };
+    const ConvergentResult sloppy = run(false);
+    const ConvergentResult tidy = run(true);
+    EXPECT_EQ(sloppy.assignment, tidy.assignment);
+    EXPECT_EQ(sloppy.preferredTime, tidy.preferredTime);
+    EXPECT_EQ(sloppy.schedule.makespan(), tidy.schedule.makespan());
+    ASSERT_EQ(sloppy.trace.size(), tidy.trace.size());
+    for (size_t k = 0; k < sloppy.trace.size(); ++k) {
+        EXPECT_FALSE(sloppy.trace[k].skipped) << "step " << k;
+        EXPECT_EQ(sloppy.trace[k].fractionChanged,
+                  tidy.trace[k].fractionChanged)
+            << "step " << k;
+    }
+    EXPECT_EQ(sloppy.trace[position].pass, "SLOPPY");
+    EXPECT_GT(sloppy.trace[position].fractionChanged, 0.0);
+}
+
 TEST(ConvergentScheduler, FailingAnyPassEqualsTheSequenceWithoutIt)
 {
     // pass.body fires after the pass ran, so every position rolls back

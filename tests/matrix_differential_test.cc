@@ -20,6 +20,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "convergent/dense_reference_matrix.hh"
 #include "convergent/preference_matrix.hh"
@@ -140,6 +141,103 @@ TEST(MatrixDifferential, NoiseDrawsStayInLockstep)
     expectIdentical(blocked, dense);
 }
 
+/** Both engines and the engine-private noise streams of one script. */
+struct Engines
+{
+    PreferenceMatrix blocked;
+    DenseReferenceMatrix dense;
+    Rng noiseBlocked;
+    Rng noiseDense;
+};
+
+/**
+ * Apply op @p op of the shared mutation surface (0..9) to row @p i of
+ * both engines, drawing its operands from @p script.
+ */
+void
+applyOp(Engines &e, Rng &script, InstrId i, int op)
+{
+    const int n = e.blocked.numInstructions();
+    const int times = e.blocked.numTimes();
+    const int clusters = e.blocked.numClusters();
+    auto row = e.blocked.row(i);
+    switch (op) {
+      case 0: {
+        const int t = script.range(times);
+        const int c = script.range(clusters);
+        const double v = script.uniform();
+        row.set(t, c, v);
+        e.dense.set(i, t, c, v);
+        break;
+      }
+      case 1: {
+        const int t = script.range(times);
+        const int c = script.range(clusters);
+        const double f = script.uniform() * 3.0;
+        row.scaleSlot(t, c, f);
+        e.dense.scale(i, t, c, f);
+        break;
+      }
+      case 2: {
+        const int c = script.range(clusters);
+        const double f = script.uniform() * 3.0;
+        row.scaleCluster(c, f);
+        e.dense.scaleCluster(i, c, f);
+        break;
+      }
+      case 3: {
+        const int t = script.range(times);
+        const double f = script.uniform() * 3.0;
+        row.scaleTime(t, f);
+        e.dense.scaleTime(i, t, f);
+        break;
+      }
+      case 4: {
+        std::vector<double> factors(clusters);
+        for (int c = 0; c < clusters; ++c)
+            factors[c] = script.uniform() * 2.0;
+        row.scaleClusters(factors.data());
+        for (int c = 0; c < clusters; ++c)
+            e.dense.scaleCluster(i, c, factors[c]);
+        break;
+      }
+      case 5: {
+        const InstrId src = script.range(n);
+        const double keep = script.uniform();
+        row.blendFrom(
+            static_cast<const PreferenceMatrix &>(e.blocked).row(src), keep);
+        e.dense.blend(i, src, keep);
+        break;
+      }
+      case 6: {
+        const int lo = script.range(times + 1);
+        const int hi = lo + script.range(times + 1 - lo);
+        row.restrictTimeWindow(lo, hi);
+        e.dense.restrictTimeWindow(i, lo, hi);
+        break;
+      }
+      case 7: {
+        const int c = script.range(clusters);
+        row.zeroCluster(c);
+        for (int t = 0; t < times; ++t)
+            e.dense.set(i, t, c, 0.0);
+        break;
+      }
+      case 8: {
+        const double amplitude = script.uniform();
+        row.addPositiveNoise(e.noiseBlocked, amplitude);
+        e.dense.addPositiveNoise(i, e.noiseDense, amplitude);
+        break;
+      }
+      case 9:
+        // Repeat normalize on an already-clean row every so often: the
+        // clean-skip must fire in both engines.
+        row.normalize();
+        e.dense.normalize(i);
+        break;
+    }
+}
+
 /**
  * The main event: seeded random scripts over the full op surface,
  * cross-checked after every step.
@@ -151,102 +249,82 @@ TEST(MatrixDifferential, RandomScriptsAreBitIdentical)
         const int n = 1 + script.range(5);
         const int times = 1 + script.range(10);
         const int clusters = 1 + script.range(4);
-        PreferenceMatrix blocked(n, times, clusters);
-        DenseReferenceMatrix dense(n, times, clusters);
         // Noise draws must come from engine-private streams with the
         // same seed so a skipped draw in one engine is a bug, not a
         // synchronisation artefact.
         const uint64_t noise_seed = 1000 + round;
-        Rng noise_blocked(noise_seed);
-        Rng noise_dense(noise_seed);
+        Engines e{PreferenceMatrix(n, times, clusters),
+                  DenseReferenceMatrix(n, times, clusters), Rng(noise_seed),
+                  Rng(noise_seed)};
 
         for (int step = 0; step < 60; ++step) {
             const InstrId i = script.range(n);
-            auto row = blocked.row(i);
-            switch (script.range(10)) {
-              case 0: {
-                const int t = script.range(times);
-                const int c = script.range(clusters);
-                const double v = script.uniform();
-                row.set(t, c, v);
-                dense.set(i, t, c, v);
-                break;
-              }
-              case 1: {
-                const int t = script.range(times);
-                const int c = script.range(clusters);
-                const double f = script.uniform() * 3.0;
-                row.scaleSlot(t, c, f);
-                dense.scale(i, t, c, f);
-                break;
-              }
-              case 2: {
-                const int c = script.range(clusters);
-                const double f = script.uniform() * 3.0;
-                row.scaleCluster(c, f);
-                dense.scaleCluster(i, c, f);
-                break;
-              }
-              case 3: {
-                const int t = script.range(times);
-                const double f = script.uniform() * 3.0;
-                row.scaleTime(t, f);
-                dense.scaleTime(i, t, f);
-                break;
-              }
-              case 4: {
-                std::vector<double> factors(clusters);
-                for (int c = 0; c < clusters; ++c)
-                    factors[c] = script.uniform() * 2.0;
-                row.scaleClusters(factors.data());
-                for (int c = 0; c < clusters; ++c)
-                    dense.scaleCluster(i, c, factors[c]);
-                break;
-              }
-              case 5: {
-                const InstrId src = script.range(n);
-                const double keep = script.uniform();
-                row.blendFrom(
-                    static_cast<const PreferenceMatrix &>(blocked).row(src),
-                    keep);
-                dense.blend(i, src, keep);
-                break;
-              }
-              case 6: {
-                const int lo = script.range(times + 1);
-                const int hi = lo + script.range(times + 1 - lo);
-                row.restrictTimeWindow(lo, hi);
-                dense.restrictTimeWindow(i, lo, hi);
-                break;
-              }
-              case 7: {
-                const int c = script.range(clusters);
-                row.zeroCluster(c);
-                for (int t = 0; t < times; ++t)
-                    dense.set(i, t, c, 0.0);
-                break;
-              }
-              case 8: {
-                const double amplitude = script.uniform();
-                row.addPositiveNoise(noise_blocked, amplitude);
-                dense.addPositiveNoise(i, noise_dense, amplitude);
-                break;
-              }
-              case 9:
-                // Repeat normalize on an already-clean row every so
-                // often: the clean-skip must fire in both engines.
-                row.normalize();
-                dense.normalize(i);
-                break;
-            }
-            row.normalize();
-            dense.normalize(i);
-            ASSERT_NO_FATAL_FAILURE(expectRowIdentical(blocked, dense, i))
+            applyOp(e, script, i, script.range(10));
+            e.blocked.row(i).normalize();
+            e.dense.normalize(i);
+            ASSERT_NO_FATAL_FAILURE(expectRowIdentical(e.blocked, e.dense, i))
                 << "round " << round << " step " << step;
         }
-        blocked.normalizeAll();
-        dense.normalizeAll();
-        ASSERT_NO_FATAL_FAILURE(expectIdentical(blocked, dense))
+        e.blocked.normalizeAll();
+        e.dense.normalizeAll();
+        ASSERT_NO_FATAL_FAILURE(expectIdentical(e.blocked, e.dense))
+            << "round " << round << " final state";
+    }
+}
+
+/**
+ * The same scripts with undo scopes: the blocked engine's rollback
+ * must land where a copy of the dense engine taken at beginUndo()
+ * stands.  Every row starts pristine and the first scope opens at
+ * once, so rollbacks return rows to the pristine template, and the
+ * ops after them -- a window restriction in particular, which writes
+ * only the narrowed window of a pristine row -- start from it again.
+ */
+TEST(MatrixDifferential, RandomScriptsWithRollbacksAreBitIdentical)
+{
+    Rng script(8484);
+    for (int round = 0; round < 12; ++round) {
+        const int n = 1 + script.range(5);
+        const int times = 1 + script.range(10);
+        const int clusters = 1 + script.range(4);
+        const uint64_t noise_seed = 2000 + round;
+        Engines e{PreferenceMatrix(n, times, clusters),
+                  DenseReferenceMatrix(n, times, clusters), Rng(noise_seed),
+                  Rng(noise_seed)};
+        e.blocked.beginUndo();
+        DenseReferenceMatrix dense_saved = e.dense;
+
+        for (int step = 0; step < 60; ++step) {
+            const InstrId i = script.range(n);
+            const int op = script.range(13);
+            if (op == 10) {
+                e.blocked.beginUndo();
+                dense_saved = e.dense;
+            } else if (op >= 11) {
+                e.blocked.rollback();
+                e.dense = dense_saved;
+                ASSERT_NO_FATAL_FAILURE(expectIdentical(e.blocked, e.dense))
+                    << "round " << round << " step " << step
+                    << " rollback";
+                if (op == 12)
+                    applyOp(e, script, i, 6);  // restrict, maybe pristine
+            } else {
+                applyOp(e, script, i, op);
+            }
+            // Before the normalize too: the fused kernels' incremental
+            // cache updates (cluster sums, cached argmax) must match a
+            // full recomputation.
+            ASSERT_NO_FATAL_FAILURE(expectRowIdentical(e.blocked, e.dense, i))
+                << "round " << round << " step " << step << " (op " << op
+                << ")";
+            e.blocked.row(i).normalize();
+            e.dense.normalize(i);
+            ASSERT_NO_FATAL_FAILURE(expectRowIdentical(e.blocked, e.dense, i))
+                << "round " << round << " step " << step;
+        }
+        e.blocked.normalizeAll();
+        e.dense.normalizeAll();
+        ASSERT_NO_FATAL_FAILURE(expectIdentical(e.blocked, e.dense))
             << "round " << round << " final state";
     }
 }

@@ -3,18 +3,23 @@
  * Unit and property tests for the preference matrix: the paper's
  * invariants, marginals, preferred slots, confidence, and the basic
  * operations of Section 3, exercised through the batched RowView API,
- * plus the row-level undo log behind pass rollback.
+ * plus the row-level undo log behind pass rollback, the pristine
+ * template, and the guard verdict normalize() records.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "convergent/convergent_scheduler.hh"
 #include "convergent/preference_matrix.hh"
+#include "machine/machine_spec.hh"
 #include "support/rng.hh"
 
 namespace csched {
@@ -73,6 +78,22 @@ TEST(PreferenceMatrix, ScaleClusterAffectsWholeColumn)
         EXPECT_NEAR(w.at(0, t, 0), 1.0 / 6.0, 1e-12);
     }
     EXPECT_EQ(w.preferredCluster(0), 1);
+}
+
+TEST(PreferenceMatrix, CachedPreferredClusterFollowsFusedUpdates)
+{
+    PreferenceMatrix w(1, 3, 3);
+    w.row(0).scaleCluster(0, 2.0);
+    w.row(0).normalize();  // fills the sums and caches the argmax
+    EXPECT_EQ(w.preferredCluster(0), 0);
+    w.row(0).scaleCluster(2, 5.0);  // updates one sum in place
+    EXPECT_EQ(w.preferredCluster(0), 2);
+    const double factors[3] = {1.0, 9.0, 1.0};
+    w.row(0).scaleClusters(factors);
+    EXPECT_EQ(w.preferredCluster(0), 1);
+    w.row(0).zeroCluster(1);
+    EXPECT_EQ(w.preferredCluster(0), 2);
+    EXPECT_EQ(w.runnerUpCluster(0), 0);
 }
 
 TEST(PreferenceMatrix, ScaleClustersAppliesPerClusterFactors)
@@ -599,6 +620,321 @@ TEST(PreferenceMatrixProperty, RandomOperationsKeepInvariants)
     }
 }
 
+// ---- pristine rows ---------------------------------------------------
+
+/**
+ * Give row @p i of @p w its own bytes without changing a weight: a
+ * scale by 1.0 is exact, and it goes through the materialize step.
+ */
+void
+materializeRow(PreferenceMatrix &w, InstrId i)
+{
+    w.row(i).scaleCluster(0, 1.0);
+}
+
+/** Every derived quantity of row @p i equals @p want's, bitwise. */
+void
+expectSameDerived(const PreferenceMatrix &got, const PreferenceMatrix &want,
+                  InstrId i, const std::string &what)
+{
+    EXPECT_EQ(got.preferredCluster(i), want.preferredCluster(i)) << what;
+    EXPECT_EQ(got.preferredTime(i), want.preferredTime(i)) << what;
+    EXPECT_EQ(got.runnerUpCluster(i), want.runnerUpCluster(i)) << what;
+    EXPECT_EQ(got.expectedTime(i), want.expectedTime(i)) << what;
+    EXPECT_EQ(bits(got.confidence(i)), bits(want.confidence(i))) << what;
+}
+
+TEST(PreferenceMatrixPristine, ReadsMatchAMaterializedRow)
+{
+    const PreferenceMatrix pristine(3, 7, 3);
+    PreferenceMatrix materialized(3, 7, 3);
+    materializeRow(materialized, 0);
+    expectSameState(pristine, materialized, "pristine vs materialized");
+    for (int c = 0; c < 3; ++c) {
+        const auto got = pristine.row(0).windowSpan(c);
+        const auto want =
+            static_cast<const PreferenceMatrix &>(materialized)
+                .row(0)
+                .windowSpan(c);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t k = 0; k < got.size(); ++k)
+            EXPECT_EQ(bits(got[k]), bits(want[k])) << "cluster " << c;
+    }
+    expectSameDerived(pristine, materialized, 0, "derived");
+    // The mutating cursor reads a pristine row through the template too.
+    PreferenceMatrix unwritten(3, 7, 3);
+    for (int t = 0; t < 7; ++t)
+        for (int c = 0; c < 3; ++c)
+            EXPECT_EQ(bits(unwritten.row(0).at(t, c)),
+                      bits(materialized.at(0, t, c)));
+
+    // A pristine row as the source of a blend reads the template.
+    PreferenceMatrix from_pristine(3, 7, 3);
+    PreferenceMatrix from_materialized = materialized;
+    for (PreferenceMatrix *w : {&from_pristine, &from_materialized}) {
+        w->row(1).restrictTimeWindow(2, 4);
+        w->row(1).normalize();
+        w->row(1).blendFrom(w->row(0), 0.25);
+        w->row(1).normalize();
+    }
+    expectSameState(from_pristine, from_materialized, "blend source");
+    expectSameDerived(from_pristine, from_materialized, 1, "blend source");
+}
+
+TEST(PreferenceMatrixPristine, RestrictMatchesMaterializeThenRestrict)
+{
+    struct Window
+    {
+        int lo;
+        int hi;
+    };
+    for (const Window window : {Window{2, 5}, Window{0, 9}, Window{-3, 1},
+                                Window{8, 20}, Window{4, 4}}) {
+        const std::string what = "restrict to [" +
+                                 std::to_string(window.lo) + ", " +
+                                 std::to_string(window.hi) + ")";
+        PreferenceMatrix lazy(2, 9, 3);
+        PreferenceMatrix eager(2, 9, 3);
+        materializeRow(eager, 1);
+        lazy.row(1).restrictTimeWindow(window.lo, window.hi);
+        eager.row(1).restrictTimeWindow(window.lo, window.hi);
+        expectSameState(lazy, eager, what);
+        lazy.row(1).normalize();
+        eager.row(1).normalize();
+        expectSameState(lazy, eager, what + ", then normalize");
+        expectSameDerived(lazy, eager, 1, what);
+    }
+}
+
+TEST(PreferenceMatrixPristine, RollbackMakesARowPristineAgain)
+{
+    const PreferenceMatrix fresh(2, 8, 3);
+    PreferenceMatrix w(2, 8, 3);
+    w.beginUndo();
+    w.row(0).restrictTimeWindow(1, 3);
+    w.row(0).set(7, 2, 0.5);  // widen past the narrowed window
+    w.row(0).normalize();
+    w.rollback();
+    expectSameState(w, fresh, "rolled back to pristine");
+
+    // The rolled-back row's own bytes were cleared: a pristine-path
+    // restriction (which writes only the new window) leaves no stale
+    // weight behind.
+    PreferenceMatrix reference(2, 8, 3);
+    reference.row(0).restrictTimeWindow(4, 6);
+    w.row(0).restrictTimeWindow(4, 6);
+    expectSameState(w, reference, "restrict after rollback");
+}
+
+TEST(PreferenceMatrixPristine, CopyKeepsPristineRowsAndTheTemplate)
+{
+    PreferenceMatrix w(3, 6, 4);
+    const int dead[] = {1};
+    w.maskPristineClusters(dead);
+    w.row(2).restrictTimeWindow(1, 5);
+    w.row(2).normalize();
+    PreferenceMatrix copy = w;
+    expectSameState(copy, w, "copy");
+    copy.row(0).scaleCluster(3, 5.0);
+    copy.row(0).normalize();
+    PreferenceMatrix reference = w;
+    expectSameState(w, reference, "original untouched by the copy");
+    EXPECT_EQ(w.at(0, 0, 1), 0.0);
+    EXPECT_NE(bits(copy.at(0, 0, 3)), bits(w.at(0, 0, 3)));
+}
+
+/** Zero @p dead in every row and normalize, one row at a time. */
+void
+maskPerRow(PreferenceMatrix &w, const std::vector<int> &dead)
+{
+    for (InstrId i = 0; i < w.numInstructions(); ++i) {
+        auto row = w.row(i);
+        for (const int c : dead)
+            row.zeroCluster(c);
+        row.normalize();
+    }
+}
+
+TEST(PreferenceMatrixPristine, MaskedTemplateMatchesPerRowMasking)
+{
+    for (const char *spec : {"raw4x4/faults=seed:3,tiles:25%",
+                             "raw8x8/faults=seed:2,tiles:15%"}) {
+        const auto machine = tryParseMachineSpec(spec);
+        ASSERT_TRUE(machine.ok()) << machine.status().toString();
+        ASSERT_TRUE((*machine)->degraded()) << spec;
+        const int clusters = (*machine)->numClusters();
+        std::vector<int> dead;
+        for (int c = 0; c < clusters; ++c)
+            if (!(*machine)->clusterAlive(c))
+                dead.push_back(c);
+
+        PreferenceMatrix lazy(4, 11, clusters);
+        PreferenceMatrix eager(4, 11, clusters);
+        lazy.maskPristineClusters(dead);
+        maskPerRow(eager, dead);
+        expectSameState(lazy, eager, spec);
+        for (InstrId i = 0; i < 4; ++i)
+            expectSameDerived(lazy, eager, i, spec);
+
+        // Both are clean (a normalize changes nothing and logs
+        // nothing), and a pass's first edits agree.
+        lazy.beginUndo();
+        eager.beginUndo();
+        lazy.normalizeAll();
+        eager.normalizeAll();
+        EXPECT_TRUE(lazy.touchedRows().empty()) << spec;
+        EXPECT_TRUE(eager.touchedRows().empty()) << spec;
+        for (PreferenceMatrix *w : {&lazy, &eager}) {
+            w->row(0).restrictTimeWindow(3, 8);
+            w->row(1).scaleCluster(dead.empty() ? 0 : (dead[0] + 1) %
+                                                          clusters,
+                                   4.0);
+            w->row(2).blendFrom(w->row(3), 0.5);
+            w->normalizeAll();
+        }
+        expectSameState(lazy, eager, std::string(spec) + ", edited");
+        // The undo log holds the masked rows as flags: rolling back
+        // returns them to the masked template.
+        lazy.rollback();
+        eager.rollback();
+        expectSameState(lazy, eager, std::string(spec) + ", rolled back");
+    }
+}
+
+TEST(PreferenceMatrixPristine, ResetOfAMaskedRowIsTheTrueUniform)
+{
+    PreferenceMatrix w(1, 4, 2);
+    const int dead[] = {0};
+    w.maskPristineClusters(dead);
+    w.row(0).restrictTimeWindow(2, 2);
+    w.row(0).normalize();
+    for (int t = 0; t < 4; ++t)
+        for (int c = 0; c < 2; ++c)
+            EXPECT_EQ(w.at(0, t, c), 1.0 / 8.0);
+}
+
+// ---- the guard verdict -----------------------------------------------
+
+/** The guard's full walk over row @p i, spelled out independently. */
+bool
+walkPasses(const PreferenceMatrix &w, InstrId i)
+{
+    const auto row = w.row(i);
+    double sum = 0.0;
+    for (int c = 0; c < w.numClusters(); ++c) {
+        double cluster_sum = 0.0;
+        for (const double v : row.windowSpan(c)) {
+            if (!std::isfinite(v) || v < -PreferenceMatrix::kWeightSlack ||
+                v > 1.0 + PreferenceMatrix::kWeightSlack)
+                return false;
+            cluster_sum += v;
+        }
+        sum += cluster_sum;
+    }
+    return std::abs(sum - 1.0) <= PreferenceMatrix::kSumSlack;
+}
+
+/**
+ * Property test: over random kernel sequences -- including sloppy
+ * ones that skip the normalize, non-finite weights, empty windows,
+ * and rollbacks -- the guard's verdict (which trusts the stored bit)
+ * always equals a forced full walk, the bit never vouches for a row
+ * the walk rejects, and a rescaling normalize always records the
+ * walk's verdict.
+ */
+TEST(PreferenceMatrixProperty, StoredVerdictEqualsAFullWalk)
+{
+    Rng rng(2718);
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (int round = 0; round < 30; ++round) {
+        const int n = 1 + rng.range(5);
+        const int times = 1 + rng.range(9);
+        const int clusters = 1 + rng.range(4);
+        PreferenceMatrix w(n, times, clusters);
+        w.beginUndo();
+        for (int step = 0; step < 80; ++step) {
+            const InstrId i = rng.range(n);
+            auto row = w.row(i);
+            switch (rng.range(12)) {
+              case 0:
+                row.scaleSlot(rng.range(times), rng.range(clusters),
+                              rng.uniform() * 3.0);
+                break;
+              case 1:
+                row.scaleCluster(rng.range(clusters), rng.uniform() * 3.0);
+                break;
+              case 2: {
+                std::vector<double> factors(clusters);
+                for (double &f : factors)
+                    f = rng.uniform() * 2.0;
+                row.scaleClusters(factors.data());
+                break;
+              }
+              case 3:
+                row.scaleTime(rng.range(times), rng.uniform() * 3.0);
+                break;
+              case 4:
+                row.zeroCluster(rng.range(clusters));
+                break;
+              case 5:
+                row.set(rng.range(times), rng.range(clusters),
+                        rng.range(20) == 0 ? kInf : rng.uniform());
+                break;
+              case 6: {
+                const int lo = rng.range(times + 1);
+                row.restrictTimeWindow(lo, lo + rng.range(times + 1));
+                break;
+              }
+              case 7:
+                row.addPositiveNoise(rng, rng.uniform());
+                break;
+              case 8:
+                row.blendFrom(w.row(rng.range(n)), rng.uniform());
+                break;
+              case 9:
+                w.rollback();
+                break;
+              case 10:
+                w.beginUndo();
+                break;
+              case 11:
+                break;  // no edit: only the normalize below
+            }
+            if (rng.range(3) != 0) {
+                double total = 0.0;
+                for (int t = 0; t < times; ++t)
+                    for (int c = 0; c < clusters; ++c)
+                        total += w.at(i, t, c);
+                const PreferenceMatrix before = w;
+                w.row(i).normalize();
+                // A normalize that rescaled the row (rather than skip
+                // a clean row or reset an all-zero one) recorded
+                // exactly the walk's verdict on the bytes it wrote.
+                bool rescaled = false;
+                for (int t = 0; t < times; ++t)
+                    for (int c = 0; c < clusters; ++c)
+                        rescaled |= bits(before.at(i, t, c)) !=
+                                    bits(w.at(i, t, c));
+                if (rescaled && !(total <= 1e-300)) {
+                    EXPECT_EQ(w.verified(i), walkPasses(w, i))
+                        << "round " << round << " step " << step;
+                }
+            }
+            for (InstrId k = 0; k < n; ++k) {
+                const bool walk = walkPasses(w, k);
+                const InstrId one[] = {k};
+                EXPECT_EQ(checkWeightInvariants(w, one, "P").ok(), walk)
+                    << "round " << round << " step " << step << " row "
+                    << k;
+                if (w.verified(k)) {
+                    EXPECT_TRUE(walk) << "round " << round << " step "
+                                      << step << " row " << k;
+                }
+            }
+        }
+    }
+}
+
 // The same mutation sequence the removed per-element shims used to
 // cover, spelled natively in RowView: the coverage survives the
 // compatibility surface it was written for.
@@ -628,6 +964,23 @@ TEST(PreferenceMatrixDeathTest, RejectsOutOfRange)
     PreferenceMatrix w(1, 2, 2);
     EXPECT_DEATH(w.at(0, 2, 0), "out of range");
     EXPECT_DEATH(w.at(1, 0, 0), "out of range");
+    EXPECT_DEATH(w.runnerUpCluster(1), "out of range");
+    EXPECT_DEATH(w.confidence(-1), "out of range");
+}
+
+TEST(PreferenceMatrixDeathTest, SingleClusterReadersStillCheckTheRow)
+{
+    const PreferenceMatrix w(2, 3, 1);
+    EXPECT_DEATH(w.runnerUpCluster(2), "out of range");
+    EXPECT_DEATH(w.confidence(2), "out of range");
+}
+
+TEST(PreferenceMatrixDeathTest, MaskNeedsEveryRowPristine)
+{
+    PreferenceMatrix w(2, 3, 2);
+    w.row(1).scaleCluster(0, 2.0);
+    const int dead[] = {0};
+    EXPECT_DEATH(w.maskPristineClusters(dead), "pristine");
 }
 
 } // namespace

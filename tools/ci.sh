@@ -55,20 +55,26 @@ run_suite() {
 }
 
 # The runner/journal subsystem under ASan: raw write/fsync/rename
-# paths, signal-flag handling, and the resume replay buffers.
+# paths, signal-flag handling, and the resume replay buffers.  Tier 1
+# runs too: the preference-matrix engine (pristine template, undo log,
+# windowed kernels) and the scheduler's pass guard live there.
 run_tier2_asan() {
     local build_dir="$1"
     build "${build_dir}" -DCSCHED_SANITIZE=address
+    echo "=== tier1 ${build_dir} (asan)"
+    ctest --test-dir "${build_dir}" -L tier1 -j --output-on-failure
     echo "=== tier2 ${build_dir} (asan)"
     ctest --test-dir "${build_dir}" -L tier2 -j --output-on-failure
 }
 
-# The same tier once more under fatal UBSan: the worker pipe protocol
+# The same tiers once more under fatal UBSan: the worker pipe protocol
 # decodes raw length prefixes and frames that tests deliberately
 # truncate and corrupt, which is where undefined behaviour would hide.
 run_tier2_ubsan() {
     local build_dir="$1"
     build "${build_dir}" -DCSCHED_SANITIZE=undefined
+    echo "=== tier1 ${build_dir} (ubsan)"
+    ctest --test-dir "${build_dir}" -L tier1 -j --output-on-failure
     echo "=== tier2 ${build_dir} (ubsan)"
     ctest --test-dir "${build_dir}" -L tier2 -j --output-on-failure
 }
@@ -441,4 +447,4 @@ dist_smoke "${prefix}-plain" plain
 dist_smoke "${prefix}-asan" asan
 perf_gate "${prefix}-plain"
 
-echo "=== all suites passed (plain + tsan + asan/ubsan tier2 + smokes + online replay + degraded grid + serve drain + dist fleet + perf gate)"
+echo "=== all suites passed (plain + tsan + asan/ubsan tier1+tier2 + smokes + online replay + degraded grid + serve drain + dist fleet + perf gate)"
