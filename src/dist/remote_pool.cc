@@ -107,16 +107,25 @@ DistOptions::applyOverrides(DistOptions *options,
 struct RemoteWorkerPool::Host
 {
     enum class State {
-        Disconnected,  ///< no connection; reconnect scheduled
+        Disconnected,  ///< no connection; (re)connect scheduled
         Connecting,    ///< TCP up, hello/welcome handshake pending
         Connected,     ///< welcomed; accepting leases
-        Quarantined,   ///< crash-looping; re-admission after cooldown
     };
+
+    Host(std::string spelling, int slot, const DistOptions &options)
+        : endpoint(std::move(spelling)), index(slot),
+          quarantine("dist.quarantine/" + endpoint,
+                     options.crashLoopThreshold,
+                     options.quarantineCooldownMs)
+    {
+    }
 
     std::string endpoint;  ///< the "host:port" spelling for messages
     std::string addr;
     uint16_t port = 0;
     int index = 0;
+    /** Consecutive connection losses trip a quarantine window. */
+    CrashLoopBreaker quarantine;
 
     State state = State::Disconnected;
     int fd = -1;  ///< owned (closed) by the reader thread
@@ -124,9 +133,7 @@ struct RemoteWorkerPool::Host
     uint64_t generation = 0;
     int capacity = 1;
     int active = 0;  ///< outstanding dispatches leased here
-    int consecutiveLosses = 0;
     int reconnectAttempt = 0;
-    uint64_t quarantineTrips = 0;
     uint64_t pingSeq = 0;
     Clock::time_point lastHeard{};
     Clock::time_point nextPingAt{};
@@ -135,7 +142,7 @@ struct RemoteWorkerPool::Host
     Clock::time_point noReconnectBefore = Clock::time_point::min();
 };
 
-/** One job's claim on the fleet (lives on runJobRemote's stack). */
+/** One job's claim on the fleet (lives on execute()'s stack). */
 struct RemoteWorkerPool::Lease
 {
     std::condition_variable cv;  ///< waits on the pool mutex
@@ -161,7 +168,6 @@ struct RemoteWorkerPool::Counters
     std::atomic<uint64_t> staleResults{0};
     std::atomic<uint64_t> hostLosses{0};
     std::atomic<uint64_t> reconnects{0};
-    std::atomic<uint64_t> quarantines{0};
     std::atomic<uint64_t> leaseReassignments{0};
 };
 
@@ -189,15 +195,13 @@ RemoteWorkerPool::start()
 
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        int index = 0;
         for (const std::string &endpoint : options_.hosts) {
-            auto host = std::make_shared<Host>();
-            host->endpoint = endpoint;
+            auto host = std::make_shared<Host>(
+                endpoint, static_cast<int>(hosts_.size()), options_);
             const Status parsed =
                 parseHostPort(endpoint, &host->addr, &host->port);
             if (!parsed.ok())
                 return parsed.withContext("--hosts");
-            host->index = index++;
             hosts_.push_back(std::move(host));
         }
     }
@@ -311,21 +315,13 @@ RemoteWorkerPool::connectionLost(Host &host, uint64_t generation,
         host.noReconnectBefore =
             now + std::chrono::milliseconds(options_.partitionMs);
 
-    ++host.consecutiveLosses;
-    if (host.consecutiveLosses >= options_.crashLoopThreshold) {
-        // Crash loop: quarantine with a deterministic-jittered
-        // cooldown, then re-admit on probation.
-        host.state = Host::State::Quarantined;
-        counters_->quarantines.fetch_add(1);
-        const int cooldown = jitteredBackoffMs(
-            "dist.quarantine/" + host.endpoint, ++host.quarantineTrips,
-            options_.quarantineCooldownMs, options_.quarantineCooldownMs,
-            0);
+    host.state = Host::State::Disconnected;
+    if (const int cooldown = host.quarantine.failure()) {
+        // Crash loop: quarantine for the breaker's cooldown, then
+        // re-admit on probation.
         host.nextReconnectAt =
             now + std::chrono::milliseconds(cooldown);
-        host.consecutiveLosses = 0;
     } else {
-        host.state = Host::State::Disconnected;
         ++host.reconnectAttempt;
         host.nextReconnectAt = nextReconnectAt(
             options_, host.endpoint, host.reconnectAttempt, now);
@@ -383,7 +379,7 @@ RemoteWorkerPool::readerMain(std::shared_ptr<Host> host, int fd,
                     host->active = 0;
                     host->lastHeard = Clock::now();
                     host->nextPingAt = Clock::now();
-                    host->consecutiveLosses = 0;
+                    host->quarantine.success();
                     host->reconnectAttempt = 0;
                     counters_->reconnects.fetch_add(1);
                     welcomed = true;
@@ -483,7 +479,6 @@ RemoteWorkerPool::controllerMain()
                     }
                     break;
                   }
-                  case Host::State::Quarantined:
                   case Host::State::Disconnected:
                     if (now >= host->nextReconnectAt &&
                         now >= host->noReconnectBefore) {
@@ -640,13 +635,15 @@ RemoteWorkerPool::stats() const
     out.staleResults = counters_->staleResults.load();
     out.hostLosses = counters_->hostLosses.load();
     out.reconnects = counters_->reconnects.load();
-    out.quarantines = counters_->quarantines.load();
     out.leaseReassignments = counters_->leaseReassignments.load();
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto &host : hosts_)
+        out.quarantines += host->quarantine.trips();
     return out;
 }
 
 // ---------------------------------------------------------------------
-// runJobRemote.
+// Remote execution.
 // ---------------------------------------------------------------------
 
 namespace {
@@ -688,33 +685,23 @@ hitNetPoints()
 
 } // namespace
 
-JobResult
-runJobRemote(const JobSpec &spec, const JobPolicy &policy,
-             RemoteWorkerPool &pool, const BaselineMemo *baselines)
+void
+RemoteWorkerPool::execute(const JobSpec &spec, const JobPolicy &policy,
+                          const BaselineMemo *baselines,
+                          JobResult &result)
 {
-    JobResult result;
-    result.workload = spec.workload;
-    result.machine = spec.machine;
-    result.algorithm = spec.algorithm.text();
-
-    // The same per-job fault scope as every other execution mode; it
-    // holds the client-side net.* counters.  The daemon binds its own
-    // scope (same key) for the worker.* and in-job points, so no
-    // point is counted twice.
-    FaultScope faults(policy.faults, jobKey(spec));
-    ScopedFaultScope fault_guard(&faults);
-    ScopedLogContext log_context("job " + jobKey(spec));
-
-    if (interruptRequested()) {
-        markInterrupted(result, "before the job started");
-        result.attempts = 0;
-        return result;
-    }
-
     const std::string affinity_key =
         spec.workload + "/" + spec.machine;
+    auto host_lost = [&result](const char *why) {
+        result.outcome = JobOutcome::Failed;
+        result.error = ErrorCode::HostLost;
+        result.attempts = 1;
+        result.diagnostic =
+            std::string("every remote host is lost or quarantined; ") +
+            why;
+    };
 
-    RemoteWorkerPool::Lease lease;
+    Lease lease;
     lease.spec = spec;
     lease.policy = policy;
     if (baselines != nullptr) {
@@ -724,32 +711,25 @@ runJobRemote(const JobSpec &spec, const JobPolicy &policy,
     }
 
     int transport_losses = 0;
-    std::unique_lock<std::mutex> lock(pool.mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
         // ---- Find a host (bounded wait). -------------------------
         const auto dispatch_deadline =
             Clock::now() +
-            std::chrono::milliseconds(pool.options_.dispatchWaitMs);
-        RemoteWorkerPool::Host *host = nullptr;
-        while ((host = pool.pickHostLocked(affinity_key)) == nullptr) {
+            std::chrono::milliseconds(options_.dispatchWaitMs);
+        Host *host = nullptr;
+        while ((host = pickHostLocked(affinity_key)) == nullptr) {
             if (interruptRequested()) {
                 markInterrupted(result,
                                 "while waiting for a worker host");
                 result.attempts = 0;
-                return result;
+                return;
             }
-            if (pool.stopping_ ||
-                Clock::now() >= dispatch_deadline) {
-                result.outcome = JobOutcome::Failed;
-                result.error = ErrorCode::HostLost;
-                result.attempts = 1;
-                result.diagnostic =
-                    "every remote host is lost or quarantined; no "
-                    "healthy host within the dispatch budget";
-                return result;
-            }
-            pool.stateChanged_.wait_for(
-                lock, std::chrono::milliseconds(kTickMs));
+            if (stopping_ || Clock::now() >= dispatch_deadline)
+                return host_lost(
+                    "no healthy host within the dispatch budget");
+            stateChanged_.wait_for(lock,
+                                   std::chrono::milliseconds(kTickMs));
         }
 
         // ---- Deterministic network faults. -----------------------
@@ -760,38 +740,29 @@ runJobRemote(const JobSpec &spec, const JobPolicy &policy,
         const NetFault net = hitNetPoints();
         lock.lock();
         if (net.drop || net.partition) {
-            pool.connectionLost(*host, chosen_generation,
-                                net.partition
-                                    ? "injected net.partition"
-                                    : "injected net.drop",
-                                net.partition);
-            ++transport_losses;
-            if (transport_losses > pool.options_.dispatchAttempts) {
-                result.outcome = JobOutcome::Failed;
-                result.error = ErrorCode::HostLost;
-                result.attempts = 1;
-                result.diagnostic =
-                    "every remote host is lost or quarantined; "
-                    "dispatch budget exhausted";
-                return result;
-            }
+            connectionLost(*host, chosen_generation,
+                           net.partition ? "injected net.partition"
+                                         : "injected net.drop",
+                           net.partition);
+            if (++transport_losses > options_.dispatchAttempts)
+                return host_lost("dispatch budget exhausted");
             continue;
         }
         if (host->generation != chosen_generation ||
-            host->state != RemoteWorkerPool::Host::State::Connected)
+            host->state != Host::State::Connected)
             continue;  // the host changed under us; pick again
 
         // ---- Dispatch. -------------------------------------------
-        const uint64_t id = pool.nextDispatchId_++;
+        const uint64_t id = nextDispatchId_++;
         const std::string payload = encodeDistJob(
             id, spec, policy, policy.retries,
             lease.memo.empty() ? nullptr : &lease.memo);
-        if (!pool.sendOnHostLocked(*host, payload)) {
+        if (!sendOnHostLocked(*host, payload)) {
             ++transport_losses;
             continue;
         }
-        pool.counters_->dispatches.fetch_add(1);
-        pool.pending_[id] = &lease;
+        counters_->dispatches.fetch_add(1);
+        pending_[id] = &lease;
         lease.outstanding.emplace_back(id, host->index);
         lease.dispatchedAt = Clock::now();
         ++host->active;
@@ -801,8 +772,8 @@ runJobRemote(const JobSpec &spec, const JobPolicy &policy,
             if (interruptRequested()) {
                 // Deregister so the stack-owned lease cannot dangle.
                 for (const auto &[oid, hidx] : lease.outstanding) {
-                    pool.pending_.erase(oid);
-                    auto &h = *pool.hosts_[static_cast<size_t>(hidx)];
+                    pending_.erase(oid);
+                    auto &h = *hosts_[static_cast<size_t>(hidx)];
                     h.active = std::max(0, h.active - 1);
                 }
                 lease.outstanding.clear();
@@ -810,37 +781,25 @@ runJobRemote(const JobSpec &spec, const JobPolicy &policy,
                     result, "while the job was leased to a remote "
                             "host");
                 result.attempts = 0;
-                return result;
+                return;
             }
             lease.cv.wait_for(lock,
                               std::chrono::milliseconds(kTickMs * 2));
         }
 
         if (lease.done) {
+            // A daemon drain never sends results (its disconnect
+            // reassigns the lease instead), so an `interrupted` result
+            // here is the job's own: reported like any other.
             result = std::move(lease.result);
-            // A job interrupted inside the remote worker (an injected
-            // runner.interrupt) must drain the local grid, exactly as
-            // it would under --isolate.  (A daemon drain never sends
-            // results -- its disconnect reassigns the lease instead.)
-            if (result.outcome == JobOutcome::Interrupted &&
-                !interruptRequested())
-                requestInterrupt(SIGINT);
-            return result;
+            return;
         }
 
         // Lost: the transport failed, not the job.  Reassign with no
         // attempt consumed and no trace in the report.
         lease.lost = false;
-        ++transport_losses;
-        if (transport_losses > pool.options_.dispatchAttempts) {
-            result.outcome = JobOutcome::Failed;
-            result.error = ErrorCode::HostLost;
-            result.attempts = 1;
-            result.diagnostic =
-                "every remote host is lost or quarantined; dispatch "
-                "budget exhausted";
-            return result;
-        }
+        if (++transport_losses > options_.dispatchAttempts)
+            return host_lost("dispatch budget exhausted");
     }
 }
 

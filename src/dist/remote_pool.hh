@@ -17,20 +17,18 @@
  *    argument: execution is deterministic per spec, so *where* it
  *    runs is invisible.
  *  - Worker deaths on a host keep --isolate semantics: the daemon
- *    runs each job through runJobIsolated() on its own pool, so a
- *    segfaulting job costs attempts and records WorkerCrashed exactly
- *    as it would locally.
+ *    runs each job on its own WorkerPool, so a segfaulting job costs
+ *    attempts and records WorkerCrashed exactly as it would locally.
  *  - Heartbeats + liveness deadlines.  A controller thread pings
  *    every connected host; a host silent past the liveness deadline
  *    is declared lost and its leases reassign.
  *  - Seeded jittered exponential reconnect backoff, a pure function
  *    of (endpoint, attempt) -- support/backoff's recipe, like grid
  *    retries.
- *  - Health scoring with crash-loop quarantine: consecutive
- *    connection losses past a threshold quarantine the host for a
- *    deterministic-jittered cooldown (the serve supervisor's
- *    degraded-window pattern), after which it is re-admitted on
- *    probation.
+ *  - Crash-loop quarantine: a per-host CrashLoopBreaker
+ *    (support/backoff.hh) turns a threshold of consecutive connection
+ *    losses into a deterministic-jittered cooldown, after which the
+ *    host is re-admitted on probation.
  *  - Work stealing.  A lease in flight on a slow host past the steal
  *    threshold is speculatively re-dispatched to an idle host; the
  *    first result wins and stragglers are dropped by dispatch id.
@@ -131,18 +129,17 @@ struct DistStats
 };
 
 /**
- * The connection manager + lease table.  Construct (validating the
- * endpoint list), start() once before the grid's thread pool exists,
- * then any number of threads may call runJobRemote() concurrently.
+ * The --hosts executor: the connection manager + lease table.
+ * Construct, start() once before the grid's thread pool exists, then
+ * any number of threads may call run() concurrently.  Transport
+ * losses reassign a lease transparently; the daemon's result, an
+ * `interrupted` one included, is the job's result.
  */
-class RemoteWorkerPool
+class RemoteWorkerPool final : public JobExecutor
 {
   public:
     explicit RemoteWorkerPool(DistOptions options);
-    ~RemoteWorkerPool();
-
-    RemoteWorkerPool(const RemoteWorkerPool &) = delete;
-    RemoteWorkerPool &operator=(const RemoteWorkerPool &) = delete;
+    ~RemoteWorkerPool() override;
 
     /**
      * Connect the fleet: every endpoint is attempted within the
@@ -158,9 +155,9 @@ class RemoteWorkerPool
     DistStats stats() const;
 
   private:
-    friend JobResult runJobRemote(const JobSpec &, const JobPolicy &,
-                                  RemoteWorkerPool &,
-                                  const BaselineMemo *);
+    void execute(const JobSpec &spec, const JobPolicy &policy,
+                 const BaselineMemo *baselines,
+                 JobResult &result) override;
 
     struct Host;
     struct Lease;
@@ -188,18 +185,6 @@ class RemoteWorkerPool
     bool stopping_ = false;
     std::unique_ptr<Counters> counters_;
 };
-
-/**
- * Execute one job on the fleet, under the same fault-scope and drain
- * semantics as runJob()/runJobIsolated().  Transport losses reassign
- * the lease transparently; a remote `interrupted` result (an injected
- * runner.interrupt inside the job) drains the local grid exactly as
- * it would under --isolate.  @p baselines supplies the memoized
- * single-cluster entry, shipped in the job frame.
- */
-JobResult runJobRemote(const JobSpec &spec, const JobPolicy &policy,
-                       RemoteWorkerPool &pool,
-                       const BaselineMemo *baselines = nullptr);
 
 } // namespace csched
 

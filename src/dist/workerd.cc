@@ -229,12 +229,8 @@ WorkerdServer::jobMain(std::shared_ptr<Connection> connection,
     if (acquireSlot()) {
         const BaselineMemo memo = frame.baselineMemo();
         counters_->jobsRun.fetch_add(1);
-        // propagate_interrupt=false: an `interrupted` outcome here
-        // belongs to the *client's* grid (injected runner.interrupt
-        // inside the job); it must not drain this daemon.
-        result = runJobIsolated(frame.spec, frame.policy(), *pool_,
-                                memo.empty() ? nullptr : &memo,
-                                /*propagate_interrupt=*/false);
+        result = pool_->run(frame.spec, frame.policy(),
+                            memo.empty() ? nullptr : &memo);
         releaseSlot();
         ran = true;
     }

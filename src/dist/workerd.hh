@@ -7,13 +7,12 @@
  *
  * The daemon is a pure executor: it owns no grid state, no journal,
  * and no retry policy beyond what each job frame carries.  Every job
- * runs through runJobIsolated() on the daemon's own WorkerPool, so a
- * job that segfaults, hangs, or OOMs on a remote host is contained as
- * exactly the per-cell outcome --isolate would have produced locally
- * -- which is what keeps dist-mode reports byte-identical to
- * in-process runs.  Job-level `interrupted` results are *not*
- * propagated into a daemon drain (propagate_interrupt=false): the
- * interrupt belongs to the client's grid.
+ * runs through the daemon's own WorkerPool (its run()), so a job that
+ * segfaults, hangs, or OOMs on a remote host is contained as exactly
+ * the per-cell outcome --isolate would have produced locally -- which
+ * is what keeps dist-mode reports byte-identical to in-process runs.
+ * A job's own `interrupted` result is sent back like any other; only
+ * the client's grid drains on it, never the daemon.
  *
  * Topology: one accept loop, one reader thread per connection, one
  * short-lived job thread per dispatched job, all execution bounded by

@@ -226,6 +226,16 @@ computeBaseline(const std::string &workload,
     return entry;
 }
 
+/** Runs each job on the calling thread: runJob()'s retry loop. */
+class InProcessExecutor final : public JobExecutor
+{
+  private:
+    void execute(const JobSpec &spec, const JobPolicy &policy,
+                 const BaselineMemo *baselines,
+                 JobResult &result) override;
+    bool runsJobBody() const override { return true; }
+};
+
 } // namespace
 
 int
@@ -262,27 +272,37 @@ appendBackoffNote(JobResult &result, const std::vector<int> &delays)
 }
 
 JobResult
-runJob(const JobSpec &spec, const JobPolicy &policy,
-       const BaselineMemo *baselines)
+JobExecutor::run(const JobSpec &spec, const JobPolicy &policy,
+                 const BaselineMemo *baselines)
 {
     JobResult result;
     result.workload = spec.workload;
     result.machine = spec.machine;
     result.algorithm = spec.algorithm.text();
 
-    // One fault scope per *job*: hit counters persist across retries,
-    // so an nth=1 rule models a transient fault the retry heals.
+    // One fault scope per *job*: hit counters persist across retries
+    // and re-dispatches, so an nth=1 rule models a transient fault the
+    // retry heals.
     FaultScope faults(policy.faults, jobKey(spec));
     ScopedFaultScope fault_guard(&faults);
     ScopedLogContext log_context("job " + jobKey(spec));
 
-    interruptPoint();
+    if (runsJobBody())
+        interruptPoint();
     if (interruptRequested()) {
         markInterrupted(result, "before the job started");
         result.attempts = 0;
         return result;
     }
+    execute(spec, policy, baselines, result);
+    return result;
+}
 
+void
+InProcessExecutor::execute(const JobSpec &spec, const JobPolicy &policy,
+                           const BaselineMemo *baselines,
+                           JobResult &result)
+{
     const int max_attempts = 1 + std::max(0, policy.retries);
     std::vector<int> backoffs;
     for (int attempt = 1; attempt <= max_attempts; ++attempt) {
@@ -331,7 +351,13 @@ runJob(const JobSpec &spec, const JobPolicy &policy,
         }
     }
     appendBackoffNote(result, backoffs);
-    return result;
+}
+
+JobResult
+runJob(const JobSpec &spec, const JobPolicy &policy,
+       const BaselineMemo *baselines)
+{
+    return InProcessExecutor().run(spec, policy, baselines);
 }
 
 std::vector<JobSpec>
@@ -456,39 +482,34 @@ runGrid(const GridSpec &grid)
         journal = std::move(*opened);
     }
 
-    // Isolation: pre-fork the worker processes *before* the thread
-    // pool exists, so every initial child starts from a quiescent,
-    // single-threaded parent image.  (Mid-run respawns fork from pool
-    // threads under the logging fork guard.)  The CPU rlimit is a
-    // coarse cumulative backstop beneath the per-dispatch watchdog,
-    // armed only when a deadline bounds legitimate work.
-    std::unique_ptr<WorkerPool> workers;
+    // Where every job runs, decided once, before the thread pool
+    // exists: initial workers fork from a quiescent, single-threaded
+    // parent (mid-run respawns fork under the logging fork guard), and
+    // the dist client's threads come up first.  The CPU rlimit is a
+    // coarse backstop under the watchdog, armed only with a deadline.
+    // Baselines stay client-computed and ship in each job frame, so
+    // every worker's execution is a pure function of the frame.
+    std::unique_ptr<JobExecutor> executor;
     if (grid.isolate) {
         const int pool_size = grid.jobs > 0
                                   ? grid.jobs
                                   : ThreadPool::defaultConcurrency();
-        workers = std::make_unique<WorkerPool>(
+        executor = std::make_unique<WorkerPool>(
             pool_size, grid.memLimitMb,
             grid.deadlineMs > 0 ? 900 : 0);
-    }
-
-    // Distribution: connect the fleet before the thread pool exists
-    // (same quiescent-parent stance as the worker pool -- the dist
-    // client's own reader/controller threads come up here).  Baselines
-    // stay client-computed: they are part of the deterministic report
-    // layer, and shipping them in each job frame keeps every host's
-    // execution a pure function of the frame.
-    std::unique_ptr<RemoteWorkerPool> fleet;
-    if (!grid.hosts.empty()) {
+    } else if (!grid.hosts.empty()) {
         DistOptions dist_options =
             grid.dist != nullptr ? *grid.dist : DistOptions{};
         dist_options.hosts = grid.hosts;
-        fleet = std::make_unique<RemoteWorkerPool>(
+        auto fleet = std::make_unique<RemoteWorkerPool>(
             std::move(dist_options));
         const Status started = fleet->start();
         if (!started.ok())
             CSCHED_FATAL("cannot start remote fleet: ",
                          started.toString());
+        executor = std::move(fleet);
+    } else {
+        executor = std::make_unique<InProcessExecutor>();
     }
 
     const auto begin = std::chrono::steady_clock::now();
@@ -526,18 +547,18 @@ runGrid(const GridSpec &grid)
             if (replayed[k])
                 continue;
             pool.submit([&jobs, &report, &policy, &baselines, &journal,
-                         &workers, &fleet, k] {
+                         &executor, k] {
                 report.results[k] =
-                    fleet != nullptr
-                        ? runJobRemote(jobs[k], policy, *fleet,
-                                       &baselines)
-                        : workers != nullptr
-                              ? runJobIsolated(jobs[k], policy,
-                                               *workers, &baselines)
-                              : runJob(jobs[k], policy, &baselines);
+                    executor->run(jobs[k], policy, &baselines);
                 const JobResult &result = report.results[k];
-                if (journal == nullptr ||
-                    result.outcome == JobOutcome::Interrupted)
+                // An `interrupted` job drains the whole grid wherever
+                // it ran; in-process jobs already raised it.
+                if (result.outcome == JobOutcome::Interrupted) {
+                    if (!interruptRequested())
+                        requestInterrupt(SIGINT);
+                    return;
+                }
+                if (journal == nullptr)
                     return;
                 // Appends run in the job's own fault scope (suffix
                 // "/journal") so tests can target one job's append.

@@ -173,6 +173,43 @@ JobResult runJob(const JobSpec &spec, const JobPolicy &policy = {},
                  const BaselineMemo *baselines = nullptr);
 
 /**
+ * Where a job runs: in this process (runJob's retry loop), in a
+ * forked worker (WorkerPool, runner/worker.hh) or on a remote fleet
+ * (RemoteWorkerPool, dist/remote_pool.hh).  A process picks one
+ * executor and sends every job through run(); execution is
+ * deterministic per spec, so the choice never shows in a result.
+ */
+class JobExecutor
+{
+  public:
+    virtual ~JobExecutor() = default;
+    JobExecutor(const JobExecutor &) = delete;
+    JobExecutor &operator=(const JobExecutor &) = delete;
+
+    /**
+     * Run one job under @p policy inside the envelope every executor
+     * shares: echo the spec's identity, bind the per-job FaultScope
+     * and "job <key>" log context, and return `interrupted` with
+     * attempts = 0 when a drain is pending.  Only the executor running
+     * the job body here first hits `runner.interrupt`, so the point is
+     * hit once per job.  runGrid alone drains on an `interrupted` one.
+     */
+    JobResult run(const JobSpec &spec, const JobPolicy &policy,
+                  const BaselineMemo *baselines = nullptr);
+
+  protected:
+    JobExecutor() = default;
+
+  private:
+    /** Run the job into @p result, inside the envelope. */
+    virtual void execute(const JobSpec &spec, const JobPolicy &policy,
+                         const BaselineMemo *baselines,
+                         JobResult &result) = 0;
+    /** True only where the job body runs in this process. */
+    virtual bool runsJobBody() const { return false; }
+};
+
+/**
  * Deterministic jittered exponential backoff before retry @p attempt
  * (2-based: the attempt about to run) of the job identified by
  * @p job_key: support/backoff's recipe with base 10 ms doubling per

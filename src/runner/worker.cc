@@ -488,8 +488,7 @@ Worker::await(int budget_ms)
 // ---------------------------------------------------------------------
 
 WorkerPool::WorkerPool(int size, int mem_limit_mb, int cpu_limit_sec)
-    : memLimitMb_(mem_limit_mb), cpuLimitSec_(cpu_limit_sec),
-      size_(std::max(1, size))
+    : memLimitMb_(mem_limit_mb), cpuLimitSec_(cpu_limit_sec)
 {
     // A worker that dies mid-read leaves the parent writing into a
     // closed pipe; that must be an EPIPE Status, not a fatal SIGPIPE.
@@ -497,7 +496,7 @@ WorkerPool::WorkerPool(int size, int mem_limit_mb, int cpu_limit_sec)
     // Mid-run respawns fork from pool threads; keep the logging mutex
     // consistent across those forks.
     installLogForkGuard();
-    for (int k = 0; k < size_; ++k) {
+    for (int k = 0; k < std::max(1, size); ++k) {
         auto worker = Worker::spawn(memLimitMb_, cpuLimitSec_);
         if (worker == nullptr) {
             CSCHED_WARN("worker pre-fork failed: ",
@@ -524,17 +523,8 @@ WorkerPool::acquire()
     return Worker::spawn(memLimitMb_, cpuLimitSec_);
 }
 
-void
-WorkerPool::release(std::unique_ptr<Worker> worker)
-{
-    if (worker == nullptr || worker->dead())
-        return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    idle_.push_back(std::move(worker));
-}
-
 // ---------------------------------------------------------------------
-// runJobIsolated.
+// Isolated execution.
 // ---------------------------------------------------------------------
 
 namespace {
@@ -708,44 +698,24 @@ decodeWorkerReply(const std::string &payload)
     return std::move(*result);
 }
 
-JobResult
-runJobIsolated(const JobSpec &spec, const JobPolicy &policy,
-               WorkerPool &pool, const BaselineMemo *baselines,
-               bool propagate_interrupt)
+void
+WorkerPool::execute(const JobSpec &spec, const JobPolicy &policy,
+                    const BaselineMemo *baselines, JobResult &result)
 {
-    JobResult result;
-    result.workload = spec.workload;
-    result.machine = spec.machine;
-    result.algorithm = spec.algorithm.text();
-
-    // The same per-job fault scope as in-process execution, holding
-    // the parent-side worker.* counters.  The child binds its own
-    // scope (same key) for the in-job fault points, so no point is
-    // counted twice.
-    FaultScope faults(policy.faults, jobKey(spec));
-    ScopedFaultScope fault_guard(&faults);
-    ScopedLogContext log_context("job " + jobKey(spec));
-
-    if (interruptRequested()) {
-        markInterrupted(result, "before the job started");
-        result.attempts = 0;
-        return result;
-    }
-
     const int max_attempts = 1 + std::max(0, policy.retries);
     int consumed = 0;  // attempts burned by dead dispatches
     std::vector<int> backoffs;  // parent-side re-dispatch delays, ms
 
     for (;;) {
         const std::string die = deathDirective();
-        auto worker = pool.acquire();
+        auto worker = acquire();
         if (worker == nullptr) {
             result.outcome = JobOutcome::Failed;
             result.error = ErrorCode::WorkerCrashed;
             result.diagnostic = "cannot fork an isolated worker: " +
                                 std::string(std::strerror(errno));
             result.attempts = consumed + 1;
-            return result;
+            return;
         }
         const long stderr_mark = worker->stderrSize();
 
@@ -771,16 +741,15 @@ runJobIsolated(const JobSpec &spec, const JobPolicy &policy,
             if (decoded.ok()) {
                 result = std::move(*decoded);
                 result.attempts += consumed;
-                // A job interrupted inside the worker (its own signal
-                // or an injected runner.interrupt) must drain the
-                // whole grid, exactly as it would in-process -- unless
-                // the caller is a daemon serving someone else's grid.
-                if (propagate_interrupt &&
-                    result.outcome == JobOutcome::Interrupted &&
-                    !interruptRequested())
-                    requestInterrupt(SIGINT);
-                pool.release(std::move(worker));
-                return result;
+                // Reuse the worker, unless it answered `interrupted`:
+                // its own drain is armed and it would refuse every
+                // later job, so the next dispatch forks a fresh one.
+                if (result.outcome != JobOutcome::Interrupted &&
+                    !worker->dead()) {
+                    std::lock_guard<std::mutex> lock(mutex_);
+                    idle_.push_back(std::move(worker));
+                }
+                return;
             }
             // A frame that parses as nothing useful counts as a
             // protocol-level crash; retire the worker.
@@ -803,7 +772,7 @@ runJobIsolated(const JobSpec &spec, const JobPolicy &policy,
             // journaled, and let resume settle it.
             markInterrupted(result, "while the worker was draining");
             result.attempts = consumed;
-            return result;
+            return;
         }
 
         const int status = dispatch.waitStatus;
@@ -825,7 +794,7 @@ runJobIsolated(const JobSpec &spec, const JobPolicy &policy,
         if (consumed >= max_attempts) {
             result.attempts = consumed;
             appendBackoffNote(result, backoffs);
-            return result;
+            return;
         }
 
         // Respawn-and-retry, after the same deterministic jittered

@@ -27,6 +27,10 @@
  * -- is byte-identical to an in-process run of the same grid, at any
  * --jobs value.
  *
+ * WorkerPool is this mode's JobExecutor (runner/job.hh), used by the
+ * grid runner, the serve daemon and the remote worker daemon.  The
+ * child, not the parent, hits `runner.interrupt`.
+ *
  * The job spec crosses the process boundary in its *text* form
  * (workload/machine names, AlgorithmSpec::text(), FaultPlan::text()),
  * so anything a driver can express round-trips exactly.
@@ -59,7 +63,11 @@ class JsonWriter;
 struct JsonValue;
 
 /**
- * A pool of forked worker processes, one job in flight per worker.
+ * The --isolate executor: a pool of forked worker processes, one job
+ * in flight per worker, with runJob()'s policy, retry and drain
+ * semantics plus the containment described above.  The baseline memo
+ * entry ships to the child in the job frame.  A worker that replies
+ * `interrupted` is retired, not reused.
  *
  * The constructor pre-forks @p size workers immediately -- call it
  * while the process is still single-threaded (before the ThreadPool
@@ -70,7 +78,7 @@ struct JsonValue;
  * SIGPIPE so a write to a dead worker surfaces as EPIPE, not a parent
  * death.
  */
-class WorkerPool
+class WorkerPool final : public JobExecutor
 {
   public:
     /**
@@ -81,50 +89,24 @@ class WorkerPool
      */
     explicit WorkerPool(int size, int mem_limit_mb = 0,
                         int cpu_limit_sec = 0);
-    ~WorkerPool();
+    ~WorkerPool() override;
 
-    WorkerPool(const WorkerPool &) = delete;
-    WorkerPool &operator=(const WorkerPool &) = delete;
-
-    int size() const { return size_; }
+  private:
+    void execute(const JobSpec &spec, const JobPolicy &policy,
+                 const BaselineMemo *baselines,
+                 JobResult &result) override;
 
     /**
      * Take an idle worker (forking a replacement if none is idle);
-     * nullptr only when forking fails.  Internal to runJobIsolated.
+     * nullptr only when forking fails.
      */
     std::unique_ptr<Worker> acquire();
 
-    /** Return a healthy worker for reuse. */
-    void release(std::unique_ptr<Worker> worker);
-
-  private:
     const int memLimitMb_;
     const int cpuLimitSec_;
-    int size_ = 0;
     std::mutex mutex_;
     std::vector<std::unique_ptr<Worker>> idle_;
 };
-
-/**
- * Execute one job in a worker process from @p pool, under the same
- * policy, fault-scope, retry, and drain semantics as runJob() -- plus
- * the containment described above.  @p baselines must supply the
- * memoized single-cluster entry when spec.computeSpeedup is set (the
- * grid always does); the entry ships to the child in the job frame so
- * baseline failures poison dependents identically to in-process runs.
- *
- * @p propagate_interrupt: an `interrupted` reply from the worker
- * (its own signal, or an injected runner.interrupt inside the job)
- * normally drains the whole grid, exactly as it would in-process.
- * The remote worker daemon (dist/workerd.hh) passes false: there the
- * interrupt belongs to the *client's* grid, and draining the daemon
- * for a job-level interrupt would take every other client's jobs
- * down with it.
- */
-JobResult runJobIsolated(const JobSpec &spec, const JobPolicy &policy,
-                         WorkerPool &pool,
-                         const BaselineMemo *baselines = nullptr,
-                         bool propagate_interrupt = true);
 
 /**
  * Serialize one job dispatch frame: the spec in text form, the policy

@@ -7,7 +7,6 @@
 
 #include "eval/experiment.hh"
 #include "runner/shutdown.hh"
-#include "support/backoff.hh"
 #include "support/socket.hh"
 #include "support/subprocess.hh"
 
@@ -59,6 +58,8 @@ struct Server::Counters
 Server::Server(ServeOptions options)
     : options_(std::move(options)), queue_(options_.queueCapacity),
       cache_(options_.cacheCapacity),
+      crashLoop_("serve.degrade", options_.crashLoopThreshold,
+                 options_.degradeCooldownMs),
       counters_(std::make_unique<Counters>())
 {
 }
@@ -344,14 +345,6 @@ Server::handle(QueuedRequest item)
         reply.serverDiagnostic = server_note;
     }
 
-    // The identity fields come from the spec echo; make sure a
-    // synthesized failure still carries them.
-    if (reply.result.workload.empty())
-        reply.result.workload = item.request.workload;
-    if (reply.result.machine.empty())
-        reply.result.machine = item.request.machine;
-    if (reply.result.algorithm.empty())
-        reply.result.algorithm = item.request.algorithm;
     reply.status = serveStatusOf(reply.result);
     if (reply.result.outcome == JobOutcome::Interrupted)
         counters_->interruptedReplies.fetch_add(1);
@@ -396,7 +389,7 @@ Server::runLeader(const ServeRequest &request,
     }
 
     counters_->jobsRun.fetch_add(1);
-    result = runJobIsolated(spec, policy, *pool_);
+    result = pool_->run(spec, policy);
     noteWorkerHealth(result);
 
     if (result.retriedThenOk()) {
@@ -439,28 +432,21 @@ Server::noteWorkerHealth(const JobResult &result)
                          result.error == ErrorCode::WorkerKilled);
     if (!worker_death) {
         if (result.ok())
-            consecutiveWorkerDeaths_.store(0);
+            crashLoop_.success();
         return;
     }
     counters_->workerDeaths.fetch_add(1);
-    const int run = consecutiveWorkerDeaths_.fetch_add(1) + 1;
-    if (run < options_.crashLoopThreshold)
+    // A trip refuses admissions for the breaker's cooldown window.
+    const int cooldown = crashLoop_.failure();
+    if (cooldown == 0)
         return;
-    // Trip the breaker: refuse admissions for a jittered cooldown.
-    // The jitter is deterministic in the trip ordinal, same recipe as
-    // the retry backoff, so degraded windows are reproducible.
-    const uint64_t trip = degradeTrips_.fetch_add(1) + 1;
-    const int64_t cooldown = jitteredBackoffMs(
-        "serve.degrade", trip, options_.degradeCooldownMs,
-        options_.degradeCooldownMs, 0);
     degradedUntilMs_.store(steadyMs() + cooldown);
-    consecutiveWorkerDeaths_.store(0);
     if (options_.verbose)
         std::fprintf(stderr,
                      "[csched_serve] crash loop detected (%d "
-                     "consecutive worker deaths); degraded for %lld "
+                     "consecutive worker deaths); degraded for %d "
                      "ms\n",
-                     run, static_cast<long long>(cooldown));
+                     options_.crashLoopThreshold, cooldown);
 }
 
 void
@@ -572,7 +558,7 @@ Server::stats() const
     out.jobsRun = counters_->jobsRun.load();
     out.workerDeaths = counters_->workerDeaths.load();
     out.healedRetries = counters_->healedRetries.load();
-    out.degradeTrips = degradeTrips_.load();
+    out.degradeTrips = crashLoop_.trips();
     out.repliesSent = counters_->repliesSent.load();
     out.replyWriteFailures = counters_->replyWriteFailures.load();
     return out;

@@ -23,12 +23,13 @@
  *    request's deadline is fixed at admission, so time spent queued
  *    counts against it and dispatchers shed aged-out requests without
  *    spending a worker.
- *  - Worker supervision: dead workers are respawned with the runner's
- *    deterministic jittered backoff; per-request retries are bounded
- *    by the policy's retry budget; a *crash-looping* pool (threshold
- *    consecutive worker deaths) trips the server into a degraded
- *    window during which admissions are refused, bounding the blast
- *    radius of a poisoned request stream.
+ *  - Worker supervision: jobs run on the WorkerPool executor, which
+ *    respawns dead workers with the runner's deterministic jittered
+ *    backoff within the retry budget.  A *crash-looping* pool
+ *    (threshold consecutive worker deaths) trips a CrashLoopBreaker
+ *    (support/backoff.hh) into a degraded window during which
+ *    admissions are refused.  A job's own `interrupted` result is
+ *    replied to like any result; it never drains the daemon.
  *  - Graceful drain: SIGINT/SIGTERM/SIGHUP (serve-style handlers,
  *    runner/shutdown.hh) stop admissions, let in-flight jobs finish up
  *    to the drain deadline, answer everything still queued with
@@ -65,6 +66,7 @@
 #include "serve/request_queue.hh"
 #include "serve/result_cache.hh"
 #include "serve/session.hh"
+#include "support/backoff.hh"
 #include "support/fault_injection.hh"
 #include "support/status.hh"
 
@@ -190,10 +192,11 @@ class Server
     std::condition_variable readerDone_;
     uint64_t nextSessionId_ = 0;
 
-    /** Crash-loop supervision state. */
-    std::atomic<int> consecutiveWorkerDeaths_{0};
-    std::atomic<int64_t> degradedUntilMs_{0};  ///< steady-clock ms
-    std::atomic<uint64_t> degradeTrips_{0};
+    /** Crash-loop supervision: consecutive worker deaths trip it. */
+    CrashLoopBreaker crashLoop_;
+    /** Degraded-window end, steady-clock ms; atomic so admission
+     *  checks it lock-free. */
+    std::atomic<int64_t> degradedUntilMs_{0};
 
     struct Counters;
     std::unique_ptr<Counters> counters_;

@@ -18,4 +18,28 @@ jitteredBackoffMs(const std::string &key, uint64_t n, int base, int cap,
     return std::max(1, static_cast<int>(raw * jitter));
 }
 
+int
+CrashLoopBreaker::failure()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (++run_ < threshold_)
+        return 0;
+    run_ = 0;
+    return jitteredBackoffMs(key_, ++trips_, cooldownMs_, cooldownMs_, 0);
+}
+
+void
+CrashLoopBreaker::success()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    run_ = 0;
+}
+
+uint64_t
+CrashLoopBreaker::trips() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return trips_;
+}
+
 } // namespace csched

@@ -6,12 +6,14 @@
  * hostile frames, and the RemoteWorkerPool's robustness contract
  * end-to-end against real forked daemons -- lease reassignment across
  * an injected network partition, a SIGKILL of one daemon mid-grid,
- * and journal/resume byte-identity across execution modes (in-process
- * vs fleet, at any host count).
+ * the crash-loop quarantine of a host that never completes a
+ * handshake, and journal/resume byte-identity across execution modes
+ * (in-process vs fleet, at any host count).
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstring>
@@ -506,6 +508,60 @@ TEST(DistFleet, WorkerdCrashPointHealsViaTheOtherHost)
     const auto report = runGrid(grid);
     EXPECT_TRUE(report.allOk());
     EXPECT_EQ(deterministicJson(report), deterministicJson(baseline));
+}
+
+TEST(DistFleet, CrashLoopingHostIsQuarantinedAndJobsStillMatch)
+{
+    InterruptGuard guard;
+    const GridSpec grid = smallGrid();
+    GridReport in_process;
+    for (const JobSpec &job : expandGrid(grid))
+        in_process.results.push_back(runJob(job));
+
+    // Fork before the acceptor thread exists.
+    auto daemon = forkWorkerd();
+    ASSERT_GT(daemon.port, 0);
+
+    // A host that accepts TCP but never answers the hello: every
+    // handshake times out, and each one counts as a connection loss.
+    const auto listening = listenTcp("127.0.0.1", 0);
+    ASSERT_TRUE(listening.ok()) << listening.status().toString();
+    const auto black_hole = boundTcpPort(*listening);
+    ASSERT_TRUE(black_hole.ok());
+    std::atomic<bool> done{false};
+    std::vector<int> held;
+    std::thread acceptor([&] {
+        while (!done.load()) {
+            const auto client = acceptClient(*listening, 50);
+            if (client.ok())
+                held.push_back(*client);
+        }
+    });
+
+    DistOptions options = fastDistOptions();
+    options.hosts = {endpoint(daemon),
+                     "127.0.0.1:" + std::to_string(*black_hole)};
+    options.connectTimeoutMs = 200;
+    options.crashLoopThreshold = 2;
+    RemoteWorkerPool pool(options);
+    const Status started = pool.start();
+    ASSERT_TRUE(started.ok()) << started.toString();
+
+    GridReport fleet;
+    for (const JobSpec &job : expandGrid(grid))
+        fleet.results.push_back(pool.run(job, JobPolicy{}));
+    EXPECT_TRUE(eventually(
+        [&] { return pool.stats().quarantines >= 1; }, 10000))
+        << "the silent host was never quarantined";
+    pool.shutdown();
+
+    done.store(true);
+    acceptor.join();
+    for (const int fd : held)
+        ::close(fd);
+    ::close(*listening);
+
+    EXPECT_EQ(deterministicJson(fleet), deterministicJson(in_process));
 }
 
 TEST(DistFleet, TotalFleetLossIsAStructuredHostLostOutcome)

@@ -7,8 +7,9 @@
  * end-to-end daemon behaviour on a real UNIX-domain socket -- healing
  * worker crashes with the deterministic backoff in the reply
  * diagnostic, tripping the crash-loop breaker into `overloaded`
- * rejections, and answering the queued backlog with `interrupted`
- * through a signal-driven drain that exits 128+signum.
+ * rejections, replying `interrupted` to a job-level interrupt
+ * without draining, and answering the queued backlog with
+ * `interrupted` through a signal-driven drain that exits 128+signum.
  */
 
 #include <gtest/gtest.h>
@@ -730,6 +731,31 @@ TEST(ServeDaemon, CrashLoopTripsTheBreakerIntoOverloaded)
     EXPECT_EQ(stats.workerDeaths, 2u);
     EXPECT_EQ(stats.degradeTrips, 1u);
     EXPECT_EQ(stats.rejectedOverloaded, 1u);
+    EXPECT_EQ(running.finish(), 0);
+}
+
+TEST(ServeDaemon, JobLevelInterruptIsRepliedToAndNeverDrainsTheDaemon)
+{
+    InterruptGuard guard;
+    // An injected runner.interrupt fires inside one request's job.  It
+    // belongs to that job alone: the reply says `interrupted`, and the
+    // daemon keeps serving instead of draining on it.
+    const auto plan =
+        mustParse("runner.interrupt=fail:match=vvmul/vliw2/uas");
+    ServeOptions options = baseOptions(tempPath("sock"));
+    options.faults = &plan;
+    RunningServer running(std::move(options));
+    ASSERT_TRUE(running.startOk);
+
+    const int fd = connectTo(running.server.socketPath());
+    ASSERT_GE(fd, 0);
+    EXPECT_EQ(roundTrip(fd, makeRequest(1, "vvmul")).status,
+              "interrupted");
+    EXPECT_EQ(roundTrip(fd, makeRequest(2, "fir")).status, "ok");
+    ::close(fd);
+
+    EXPECT_FALSE(drainRequested());
+    EXPECT_EQ(running.server.stats().interruptedReplies, 1u);
     EXPECT_EQ(running.finish(), 0);
 }
 

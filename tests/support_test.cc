@@ -9,6 +9,7 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -301,6 +302,79 @@ TEST(Backoff, NeverReturnsLessThanOneMillisecond)
         EXPECT_GE(jitteredBackoffMs("serve.degrade", n, 1, 1, 0), 1);
         EXPECT_GE(jitteredBackoffMs("k", n, 0, 0, 3), 1);
     }
+}
+
+TEST(CrashLoopBreaker, TripsAtExactlyTheThreshold)
+{
+    CrashLoopBreaker breaker("serve.degrade", 3, 1000);
+    EXPECT_EQ(breaker.failure(), 0);
+    EXPECT_EQ(breaker.failure(), 0);
+    EXPECT_EQ(breaker.trips(), 0u);
+    EXPECT_GT(breaker.failure(), 0);
+    EXPECT_EQ(breaker.trips(), 1u);
+    // The trip restarts the run: the next trip needs three more.
+    EXPECT_EQ(breaker.failure(), 0);
+    EXPECT_EQ(breaker.failure(), 0);
+    EXPECT_GT(breaker.failure(), 0);
+    EXPECT_EQ(breaker.trips(), 2u);
+}
+
+TEST(CrashLoopBreaker, SuccessResetsTheRun)
+{
+    CrashLoopBreaker breaker("serve.degrade", 2, 1000);
+    for (int k = 0; k < 5; ++k) {
+        EXPECT_EQ(breaker.failure(), 0);
+        breaker.success();
+    }
+    EXPECT_EQ(breaker.trips(), 0u);
+    EXPECT_EQ(breaker.failure(), 0);
+    EXPECT_GT(breaker.failure(), 0);
+    EXPECT_EQ(breaker.trips(), 1u);
+}
+
+TEST(CrashLoopBreaker, CooldownOfTripNIsTheJitteredBackoffOfN)
+{
+    // Both production keys: serve's degraded window and a dist host's
+    // quarantine.
+    for (const auto &[key, cooldown] :
+         std::vector<std::pair<std::string, int>>{
+             {"serve.degrade", 1000},
+             {"serve.degrade", 60000},
+             {"dist.quarantine/127.0.0.1:7001", 2000},
+             {"dist.quarantine/127.0.0.1:7001", 300}}) {
+        CrashLoopBreaker breaker(key, 2, cooldown);
+        for (uint64_t trip = 1; trip <= 5; ++trip) {
+            EXPECT_EQ(breaker.failure(), 0);
+            EXPECT_EQ(breaker.failure(),
+                      jitteredBackoffMs(key, trip, cooldown, cooldown, 0))
+                << key << " trip " << trip;
+        }
+    }
+}
+
+TEST(CrashLoopBreaker, ConcurrentFailuresTripOncePerThreshold)
+{
+    // One run of failures reported from many threads: no trip is lost
+    // or double-counted, whatever the interleaving.
+    constexpr int kThreads = 8;
+    constexpr int kFailures = 250;
+    constexpr int kThreshold = 3;
+    CrashLoopBreaker breaker("serve.degrade", kThreshold, 1000);
+    std::vector<std::thread> threads;
+    std::vector<int> trips(kThreads, 0);
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&breaker, &trips, t] {
+            for (int k = 0; k < kFailures; ++k)
+                trips[static_cast<size_t>(t)] += breaker.failure() > 0;
+        });
+    for (std::thread &thread : threads)
+        thread.join();
+    const uint64_t expected = kThreads * kFailures / kThreshold;
+    EXPECT_EQ(breaker.trips(), expected);
+    int observed = 0;
+    for (const int n : trips)
+        observed += n;
+    EXPECT_EQ(static_cast<uint64_t>(observed), expected);
 }
 
 } // namespace

@@ -1,19 +1,22 @@
 #!/bin/sh
-# tools_contract_test.sh CSCHED_BENCH CSCHED_CLI -- pin the grid
-# front-end contract both drivers share: report byte-identity across
-# --jobs, and the 0/1/2 exit-code convention (0 success or
-# --keep-going, 1 a failed job, 2 a usage error caught before any job
-# runs).  Registered in ctest as a tier-2 check.
+# tools_contract_test.sh CSCHED_BENCH CSCHED_CLI CSCHED_WORKERD -- pin
+# the grid front-end contract both drivers share: report byte-identity
+# across --jobs and across job executors (in-process, --isolate, and
+# --hosts against one csched_workerd this script starts), and the
+# 0/1/2 exit-code convention (0 success or --keep-going, 1 a failed
+# job, 2 a usage error caught before any job runs).  Registered in
+# ctest as a tier-2 check.
 set -u
 
-if [ $# -ne 2 ]; then
-    echo "usage: $0 CSCHED_BENCH CSCHED_CLI" >&2
+if [ $# -ne 3 ]; then
+    echo "usage: $0 CSCHED_BENCH CSCHED_CLI CSCHED_WORKERD" >&2
     exit 2
 fi
 
 bench=$1
 cli=$2
-for binary in "$bench" "$cli"; do
+workerd=$3
+for binary in "$bench" "$cli" "$workerd"; do
     if [ ! -x "$binary" ]; then
         echo "tools_contract: '$binary' not found or not executable" >&2
         exit 2
@@ -21,7 +24,15 @@ for binary in "$bench" "$cli"; do
 done
 
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/tools_contract.XXXXXX") || exit 1
-trap 'rm -rf "$tmp"' EXIT
+workerd_pid=
+cleanup() {
+    if [ -n "$workerd_pid" ]; then
+        kill "$workerd_pid" 2>/dev/null
+        wait "$workerd_pid" 2>/dev/null
+    fi
+    rm -rf "$tmp"
+}
+trap cleanup EXIT
 
 failures=0
 
@@ -53,11 +64,44 @@ expect 0 "bench --jobs 1 report" \
 expect 0 "bench --jobs 4 report" \
     "$bench" suite $grid --jobs 4 --no-timings --quiet \
     --json "$tmp/jobs4.json"
-if cmp -s "$tmp/jobs1.json" "$tmp/jobs4.json"; then
-    echo "ok   bench reports byte-identical at --jobs 1 and 4"
+# same NAME REPORT: demand REPORT is byte-identical to the --jobs 1
+# in-process report.
+same() {
+    if cmp -s "$tmp/jobs1.json" "$2"; then
+        echo "ok   bench report byte-identical: $1"
+    else
+        echo "FAIL bench report differs: $1" >&2
+        diff "$tmp/jobs1.json" "$2" >&2
+        failures=$((failures + 1))
+    fi
+}
+same "--jobs 1 vs --jobs 4" "$tmp/jobs4.json"
+
+# ---- Byte-identity across executors ---------------------------------
+
+# shellcheck disable=SC2086
+expect 0 "bench --isolate report" \
+    "$bench" suite $grid --jobs 4 --isolate --no-timings --quiet \
+    --json "$tmp/isolate.json"
+same "in-process vs --isolate" "$tmp/isolate.json"
+
+"$workerd" --port 0 --workers 2 --port-file "$tmp/workerd.port" \
+    2>"$tmp/workerd.err" &
+workerd_pid=$!
+for _ in $(seq 100); do
+    [ -s "$tmp/workerd.port" ] && break
+    sleep 0.05
+done
+if [ -s "$tmp/workerd.port" ]; then
+    # shellcheck disable=SC2086
+    expect 0 "bench --hosts report" \
+        "$bench" suite $grid --jobs 4 --no-timings --quiet \
+        --hosts "127.0.0.1:$(cat "$tmp/workerd.port")" \
+        --json "$tmp/hosts.json"
+    same "in-process vs --hosts" "$tmp/hosts.json"
 else
-    echo "FAIL bench reports differ between --jobs 1 and --jobs 4" >&2
-    diff "$tmp/jobs1.json" "$tmp/jobs4.json" >&2
+    echo "FAIL csched_workerd never wrote its port file" >&2
+    sed 's/^/    /' "$tmp/workerd.err" >&2
     failures=$((failures + 1))
 fi
 
