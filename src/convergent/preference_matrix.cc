@@ -14,10 +14,10 @@
 // feasible window hold exactly +0.0, and for non-negative weights
 // x + (+0.0) == x and (+0.0) * f == +0.0 bitwise, so restricting a
 // sum or a scale to the window drops only terms that cannot change
-// any partial sum.  Fused multiply+accumulate kernels keep the store
-// and the accumulation in separate statements so the addend is the
-// rounded, stored value.  tests/matrix_differential_test.cc holds the
-// engine to bit-identical agreement with the dense reference.
+// any partial sum.  normalize()'s fused rescale+accumulate keeps the
+// store and the accumulation in separate statements so the addend is
+// the rounded, stored value.  tests/matrix_differential_test.cc holds
+// the engine to bit-identical agreement with the dense reference.
 
 namespace csched {
 
@@ -128,14 +128,13 @@ PreferenceMatrix::PreferenceMatrix(int num_instrs, int num_times,
     // Zero pages from calloc: every row starts pristine and reads the
     // template, so neither arena is written here.
     arena_.resize(static_cast<size_t>(num_instrs) * rowStride_);
-    timeOff_ = static_cast<size_t>(num_instrs) * num_clusters;
-    cache_.resize(timeOff_ + static_cast<size_t>(num_instrs) * num_times);
+    cache_.resize(static_cast<size_t>(num_instrs) * num_clusters);
+    timeScratch_.resize(num_times);
     template_.assign(rowStride_, 1.0 / static_cast<double>(rowStride_));
     winLo_.assign(num_instrs, 0);
     winHi_.assign(num_instrs, num_times);
     spaceValid_.assign(num_instrs, 0);
     preferred_.assign(num_instrs, 0);
-    timeValid_.assign(num_instrs, 0);
     clean_.assign(num_instrs, kDirty);
     pristine_.assign(num_instrs, 1);
     logged_.assign(num_instrs, 0);
@@ -160,7 +159,6 @@ PreferenceMatrix::maskPristineClusters(std::span<const int> clusters)
     // Every row is now in the state a per-row normalize leaves.
     std::fill(clean_.begin(), clean_.end(), kClean);
     std::fill(spaceValid_.begin(), spaceValid_.end(), 0);
-    std::fill(timeValid_.begin(), timeValid_.end(), 0);
 }
 
 void
@@ -185,17 +183,10 @@ PreferenceMatrix::spaceSums(InstrId i) const
     return cache_.data() + static_cast<size_t>(i) * numClusters_;
 }
 
-double *
-PreferenceMatrix::timeSums(InstrId i) const
-{
-    return cache_.data() + timeOff_ + static_cast<size_t>(i) * numTimes_;
-}
-
 void
 PreferenceMatrix::markMutated(InstrId i)
 {
     spaceValid_[i] = 0;
-    timeValid_[i] = 0;
     clean_[i] = kDirty;
 }
 
@@ -271,7 +262,6 @@ PreferenceMatrix::rollback()
         clean_[i] = std::min(saved.clean, kClean);
         pristine_[i] = saved.pristine;
         spaceValid_[i] = 0;
-        timeValid_[i] = 0;
         logged_[i] = 0;
     }
     touched_.clear();
@@ -284,21 +274,21 @@ PreferenceMatrix::refreshSpace(InstrId i) const
 {
     if (spaceValid_[i])
         return;
+    double *space = spaceSums(i);
     sumClusters(block(i, 0), numTimes_, numClusters_, winLo_[i], winHi_[i],
-                spaceSums(i));
-    spaceValid_[i] = kSumsValid;
+                space);
+    preferred_[i] = argmax(space, numClusters_);
+    spaceValid_[i] = 1;
 }
 
-void
-PreferenceMatrix::refreshTime(InstrId i) const
+const double *
+PreferenceMatrix::sumTimes(InstrId i, int t_lo, int t_hi) const
 {
-    if (timeValid_[i])
-        return;
-    // Only [lo, hi) is written: readers treat the slots outside the
-    // window as the +0.0 the weights there are.
-    sumSlots(block(i, 0), numTimes_, numClusters_, winLo_[i], winHi_[i],
-             timeSums(i));
-    timeValid_[i] = 1;
+    // Only [t_lo, t_hi) is written: callers treat the other slots as
+    // the +0.0 the weights outside the window are.
+    sumSlots(block(i, 0), numTimes_, numClusters_, t_lo, t_hi,
+             timeScratch_.data());
+    return timeScratch_.data();
 }
 
 double
@@ -341,26 +331,11 @@ PreferenceMatrix::rowScaleCluster(InstrId i, int c, double factor)
     checkIndex(i, 0, c);
     CSCHED_ASSERT(factor >= 0.0, "negative factor ", factor);
     willMutate(i);
-    const int lo = winLo_[i];
     const int hi = winHi_[i];
     double *b = writeBlock(i, c);
-    if (spaceValid_[i]) {
-        // Fused: refresh this cluster's space marginal in the same
-        // sweep (the other clusters' blocks are untouched, so their
-        // cached sums stay exact); the argmax may move.
-        double sum = 0.0;
-        for (int t = lo; t < hi; ++t) {
-            b[t] *= factor;
-            sum += b[t];
-        }
-        spaceSums(i)[c] = sum;
-        spaceValid_[i] = kSumsValid;
-    } else {
-        for (int t = lo; t < hi; ++t)
-            b[t] *= factor;
-    }
-    timeValid_[i] = 0;
-    clean_[i] = kDirty;
+    for (int t = winLo_[i]; t < hi; ++t)
+        b[t] *= factor;
+    markMutated(i);
 }
 
 void
@@ -370,28 +345,14 @@ PreferenceMatrix::rowScaleClusters(InstrId i, const double *factors)
     willMutate(i);
     const int lo = winLo_[i];
     const int hi = winHi_[i];
-    const bool keep_space = spaceValid_[i] != 0;
-    double *space = spaceSums(i);
     for (int c = 0; c < numClusters_; ++c) {
         const double factor = factors[c];
         CSCHED_ASSERT(factor >= 0.0, "negative factor ", factor);
         double *b = writeBlock(i, c);
-        if (keep_space) {
-            double sum = 0.0;
-            for (int t = lo; t < hi; ++t) {
-                b[t] *= factor;
-                sum += b[t];
-            }
-            space[c] = sum;
-        } else {
-            for (int t = lo; t < hi; ++t)
-                b[t] *= factor;
-        }
+        for (int t = lo; t < hi; ++t)
+            b[t] *= factor;
     }
-    if (keep_space)
-        spaceValid_[i] = kSumsValid;
-    timeValid_[i] = 0;
-    clean_[i] = kDirty;
+    markMutated(i);
 }
 
 void
@@ -403,14 +364,7 @@ PreferenceMatrix::rowScaleTime(InstrId i, int t, double factor)
     double *r = rowData(i);
     for (int c = 0; c < numClusters_; ++c)
         r[static_cast<size_t>(c) * numTimes_ + t] *= factor;
-    if (timeValid_[i]) {
-        double sum = 0.0;
-        for (int c = 0; c < numClusters_; ++c)
-            sum += r[static_cast<size_t>(c) * numTimes_ + t];
-        timeSums(i)[t] = sum;
-    }
-    spaceValid_[i] = 0;
-    clean_[i] = kDirty;
+    markMutated(i);
 }
 
 void
@@ -420,12 +374,7 @@ PreferenceMatrix::rowZeroCluster(InstrId i, int c)
     willMutate(i);
     double *b = writeBlock(i, c);
     std::fill(b + winLo_[i], b + winHi_[i], 0.0);
-    if (spaceValid_[i]) {
-        spaceSums(i)[c] = 0.0;
-        spaceValid_[i] = kSumsValid;
-    }
-    timeValid_[i] = 0;
-    clean_[i] = kDirty;
+    markMutated(i);
 }
 
 void
@@ -536,7 +485,6 @@ PreferenceMatrix::rowNormalize(InstrId i)
         winLo_[i] = 0;
         winHi_[i] = numTimes_;
         spaceValid_[i] = 0;
-        timeValid_[i] = 0;
         clean_[i] = kClean;
         return;
     }
@@ -544,8 +492,7 @@ PreferenceMatrix::rowNormalize(InstrId i)
     for (int c = 0; c < numClusters_; ++c)
         total += space[c];
     preferred_[i] = argmax(space, numClusters_);
-    spaceValid_[i] = kArgmaxValid;
-    timeValid_[i] = 0;
+    spaceValid_[i] = 1;
     clean_[i] = in_range && std::abs(total - 1.0) <= kSumSlack ? kVerified
                                                                 : kClean;
 }
@@ -573,8 +520,7 @@ PreferenceMatrix::timeMarginal(InstrId i, int t) const
     checkIndex(i, t, 0);
     if (t < winLo_[i] || t >= winHi_[i])
         return 0.0;
-    refreshTime(i);
-    return timeSums(i)[t];
+    return sumTimes(i, t, t + 1)[t];
 }
 
 int
@@ -582,10 +528,6 @@ PreferenceMatrix::preferredCluster(InstrId i) const
 {
     checkInstr(i);
     refreshSpace(i);
-    if (spaceValid_[i] != kArgmaxValid) {
-        preferred_[i] = argmax(spaceSums(i), numClusters_);
-        spaceValid_[i] = kArgmaxValid;
-    }
     return preferred_[i];
 }
 
@@ -593,14 +535,13 @@ int
 PreferenceMatrix::preferredTime(InstrId i) const
 {
     checkInstr(i);
-    refreshTime(i);
     // The argmax over every slot, scanning only the window: the slots
     // outside it are +0.0, so slot 0 is the answer until some window
     // slot beats 0 (or beats slot 0 itself, when the window starts
     // there).
     const int lo = winLo_[i];
     const int hi = winHi_[i];
-    const double *time = timeSums(i);
+    const double *time = sumTimes(i, lo, hi);
     int best = 0;
     double top = lo == 0 && hi > 0 ? time[0] : 0.0;
     for (int t = std::max(lo, 1); t < hi; ++t) {
@@ -610,23 +551,6 @@ PreferenceMatrix::preferredTime(InstrId i) const
         }
     }
     return best;
-}
-
-int
-PreferenceMatrix::expectedTime(InstrId i) const
-{
-    checkInstr(i);
-    refreshTime(i);
-    const double *time = timeSums(i);
-    double total = 0.0;
-    double weighted = 0.0;
-    for (int t = winLo_[i]; t < winHi_[i]; ++t) {
-        total += time[t];
-        weighted += time[t] * t;
-    }
-    if (total <= 1e-300)
-        return 0;
-    return static_cast<int>(weighted / total + 0.5);
 }
 
 int

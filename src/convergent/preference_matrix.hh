@@ -22,11 +22,23 @@
  *
  * so the inner dimension of the hottest batched operation
  * (scaleCluster, the per-cluster multiply behind almost every pass)
- * is a contiguous T-long block instead of a stride-C walk.  Marginal
- * caches live in a second arena and are maintained incrementally:
- * scaleCluster refreshes exactly the one touched cluster sum while it
- * multiplies, scaleTime refreshes exactly the one touched time sum,
- * and only genuinely row-wide mutations invalidate a side wholesale.
+ * is a contiguous T-long block instead of a stride-C walk.
+ *
+ * Caches.  Only what the passes steer by is cached: each row's C
+ * cluster sums (space marginals) and, under the same per-row flag,
+ * the preferred cluster, in a second N*C arena.  normalize()'s sweep
+ * fills both; a mutating kernel only invalidates them, and the first
+ * read of a row written since its last normalize refreshes both in
+ * one walk of the window.  Time marginals are not cached: the
+ * preferred time is read once per row as the list scheduler's
+ * priority and once per COMM pass, so preferredTime() and
+ * timeMarginal() sum the window into a T-long scratch on each call.
+ * (Counted on one cycle of the seeded wide-10k/vliw4 and
+ * narrow-2k/raw4 regions and on mxm/raw32x32: none of 206,578
+ * time-marginal reads found its row unchanged since an earlier read,
+ * and none of 166 million cluster sums a scaling kernel could keep
+ * current was read before normalize() overwrote it.  DESIGN.md
+ * section 10 has the table.)
  *
  * Pristine rows.  Both arenas come from calloc, and construction
  * writes no weights: a row that no kernel has written yet is
@@ -66,7 +78,7 @@
  * kernel clears the verdict.
  *
  * Mutation goes through RowView, a cursor that validates the row
- * index once and then applies fused batched kernels with no
+ * index once and then applies batched kernels with no
  * per-element dispatch or bounds rechecks.  The per-element read path
  * at() is the supported compatibility surface for traces and JSON
  * emitters.
@@ -157,7 +169,6 @@ class PreferenceMatrix
   public:
     class RowView;
     class ConstRowView;
-    class MatrixView;
 
     /**
      * Section-3 tolerances: the slack every weight gets on [0, 1] for
@@ -183,9 +194,6 @@ class PreferenceMatrix
 
     /** Batched read cursor for instruction @p i. */
     ConstRowView row(InstrId i) const;
-
-    /** Whole-matrix cursor (bulk helpers over row()). */
-    MatrixView view();
 
     /**
      * Weight of instruction @p i at time @p t on cluster @p c.  The
@@ -225,13 +233,6 @@ class PreferenceMatrix
 
     /** argmax_t of the time marginal (lowest index wins ties). */
     int preferredTime(InstrId i) const;
-
-    /**
-     * Expectation of the time marginal, rounded to a slot.  A more
-     * noise-robust summary of the temporal preference than the argmax
-     * when several slots carry similar weight.
-     */
-    int expectedTime(InstrId i) const;
 
     /**
      * Second-best cluster by space marginal; for single-cluster
@@ -279,10 +280,6 @@ class PreferenceMatrix
     static constexpr uint8_t kClean = 1;
     static constexpr uint8_t kVerified = 2;
 
-    // Space-cache states: the cluster sums, and the argmax with them.
-    static constexpr uint8_t kSumsValid = 1;
-    static constexpr uint8_t kArgmaxValid = 2;
-
     void checkInstr(InstrId i) const;
     void checkIndex(InstrId i, int t, int c) const;
 
@@ -308,7 +305,6 @@ class PreferenceMatrix
         return rowData(i) + static_cast<size_t>(c) * numTimes_;
     }
     double *spaceSums(InstrId i) const;
-    double *timeSums(InstrId i) const;
 
     size_t
     dataOff(InstrId i) const
@@ -316,7 +312,7 @@ class PreferenceMatrix
         return static_cast<size_t>(i) * rowStride_;
     }
 
-    /** A mutation touched row @p i: caches stale, row not normalized. */
+    /** A mutation touched row @p i: cache stale, row not normalized. */
     void markMutated(InstrId i);
 
     /** Log row @p i's pre-image on its first touch in an open scope. */
@@ -343,7 +339,9 @@ class PreferenceMatrix
     void materialize(InstrId i);
 
     void refreshSpace(InstrId i) const;
-    void refreshTime(InstrId i) const;
+
+    /** Row @p i's time marginals over [t_lo, t_hi), in timeScratch_. */
+    const double *sumTimes(InstrId i, int t_lo, int t_hi) const;
 
     // The batched kernels behind RowView (documented there).
     void rowSet(InstrId i, int t, int c, double value);
@@ -364,14 +362,15 @@ class PreferenceMatrix
 
     /**
      * The weight arena: one flat N*C*T allocation, cluster-blocked
-     * per row.  The marginal caches share a second flat allocation
-     * (mutable, so const readers can refresh lazily): N*C space sums
-     * followed by N*T time sums.  Offsets (not pointers) keep the
-     * class default-copyable.
+     * per row, and the N*C space sums (mutable, so const readers can
+     * refresh lazily).  Offsets (not pointers) keep the class
+     * default-copyable.
      */
     Arena arena_;
     mutable Arena cache_;
-    size_t timeOff_; ///< offset of the time sums inside cache_
+
+    /** T doubles the time-marginal readers sum into. */
+    mutable std::vector<double> timeScratch_;
 
     /** The row every pristine row reads (C blocks of T, window [0, T)). */
     std::vector<double> template_;
@@ -380,15 +379,13 @@ class PreferenceMatrix
     std::vector<int> winLo_;
     std::vector<int> winHi_;
 
-    // Cache validity per row and side (space: kSumsValid, or
-    // kArgmaxValid with the preferred cluster in preferred_), plus the
-    // normalize clean flag: set by normalize(), cleared by every
-    // mutation, and normalize() returns immediately when it is still
-    // set -- the cached row sum is exactly the post-normalize sum, no
-    // epsilon test needed.
+    // Per row: 1 while the space sums and the preferred cluster in
+    // preferred_ are valid, plus the normalize clean flag: set by
+    // normalize(), cleared by every mutation, and normalize() returns
+    // immediately when it is still set -- the row sum is exactly the
+    // post-normalize sum, no epsilon test needed.
     mutable std::vector<uint8_t> spaceValid_;
     mutable std::vector<int> preferred_;
-    mutable std::vector<uint8_t> timeValid_;
     std::vector<uint8_t> clean_;
 
     /** Per row: 1 while the row reads the template, never written. */
@@ -453,10 +450,10 @@ class PreferenceMatrix::ConstRowView
 
 /**
  * Mutating batched cursor over one instruction's row.  Every method
- * is a fused kernel: it applies the mutation over contiguous spans
- * (restricted to the feasible window) and maintains the marginal
- * caches incrementally where the summation order allows, with no
- * per-element bounds rechecks.
+ * is a batched kernel: it applies the mutation over contiguous spans
+ * (restricted to the feasible window) with no per-element bounds
+ * rechecks, and leaves the row's space cache to the next normalize or
+ * read.
  */
 class PreferenceMatrix::RowView
 {
@@ -485,10 +482,7 @@ class PreferenceMatrix::RowView
         m_->rowScaleSlot(i_, t, c, factor);
     }
 
-    /**
-     * Multiply cluster @p c's whole block by @p factor and refresh
-     * its space marginal in the same sweep.
-     */
+    /** Multiply cluster @p c's whole block by @p factor. */
     void
     scaleCluster(int c, double factor)
     {
@@ -497,7 +491,7 @@ class PreferenceMatrix::RowView
 
     /**
      * Multiply every cluster block by its own factor (an array of
-     * numClusters() values), one fused sweep over the row.
+     * numClusters() values), one sweep over the row.
      */
     void
     scaleClusters(const double *factors)
@@ -505,10 +499,7 @@ class PreferenceMatrix::RowView
         m_->rowScaleClusters(i_, factors);
     }
 
-    /**
-     * Multiply time slot @p t across clusters by @p factor and
-     * refresh that slot's time marginal in the same sweep.
-     */
+    /** Multiply time slot @p t across clusters by @p factor. */
     void
     scaleTime(int t, double factor)
     {
@@ -583,30 +574,6 @@ class PreferenceMatrix::RowView
     InstrId i_;
 };
 
-/** Whole-matrix cursor: bulk helpers expressed over row(). */
-class PreferenceMatrix::MatrixView
-{
-  public:
-    int numInstructions() const { return m_->numInstructions(); }
-    int numTimes() const { return m_->numTimes(); }
-    int numClusters() const { return m_->numClusters(); }
-
-    RowView row(InstrId i) { return m_->row(i); }
-    ConstRowView constRow(InstrId i) const
-    {
-        return static_cast<const PreferenceMatrix *>(m_)->row(i);
-    }
-
-    /** normalize() every row. */
-    void normalizeAll() { m_->normalizeAll(); }
-
-  private:
-    friend class PreferenceMatrix;
-    explicit MatrixView(PreferenceMatrix *m) : m_(m) {}
-
-    PreferenceMatrix *m_;
-};
-
 inline PreferenceMatrix::RowView
 PreferenceMatrix::row(InstrId i)
 {
@@ -619,12 +586,6 @@ PreferenceMatrix::row(InstrId i) const
 {
     checkInstr(i);
     return ConstRowView(this, i);
-}
-
-inline PreferenceMatrix::MatrixView
-PreferenceMatrix::view()
-{
-    return MatrixView(this);
 }
 
 } // namespace csched

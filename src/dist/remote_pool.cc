@@ -78,16 +78,16 @@ DistOptions::applyOverrides(DistOptions *options,
             return Status::invalidSpec("dist option '" + entry +
                                        "' is not key=value");
         const std::string key = trim(entry.substr(0, eq));
-        const std::string value = trim(entry.substr(eq + 1));
-        if (value.empty() ||
-            value.find_first_not_of("0123456789") != std::string::npos)
+        const std::optional<int> value =
+            parseNonNegativeInt(trim(entry.substr(eq + 1)));
+        if (!value)
             return Status::invalidSpec("dist option '" + key +
                                        "': value must be a "
                                        "non-negative integer");
         bool known = false;
         for (const Knob &knob : knobs) {
             if (key == knob.name) {
-                *knob.field = std::atoi(value.c_str());
+                *knob.field = *value;
                 known = true;
                 break;
             }

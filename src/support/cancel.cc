@@ -1,5 +1,6 @@
 #include "support/cancel.hh"
 
+#include <atomic>
 #include <string>
 
 #include "support/status.hh"
@@ -48,8 +49,6 @@ CancelToken::armDeadline(int ms)
 bool
 CancelToken::expired() const
 {
-    if (cancelled_.load())
-        return true;
     return has_deadline_ &&
            std::chrono::steady_clock::now() >= deadline_;
 }

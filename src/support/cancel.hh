@@ -2,27 +2,25 @@
  * @file
  * Cooperative cancellation for long-running scheduler loops.
  *
- * A CancelToken is armed with a deadline (and/or cancelled explicitly)
- * by the job runner; the schedulers poll it at natural loop boundaries
- * -- convergent pass applications, PCC descent moves, UAS cycles,
- * Rawcc merges -- via pollCancellation(), which throws a
- * StatusError(Timeout) that the job boundary converts into a `timeout`
- * job outcome.  Polling is push-free and lock-free: a token is bound
- * to the executing thread through a thread-local pointer, so deep
- * scheduler code needs no plumbing, and code running outside a job
- * (tests, the single-run CLI path) polls against no token at all,
- * which is a no-op.
+ * A CancelToken is armed with a deadline by the job runner; the
+ * schedulers poll it at natural loop boundaries -- convergent pass
+ * applications, PCC descent moves, UAS cycles, Rawcc merges -- via
+ * pollCancellation(), which throws a StatusError(Timeout) that the job
+ * boundary converts into a `timeout` job outcome.  Polling is
+ * push-free and lock-free: a token is bound to the executing thread
+ * through a thread-local pointer, so deep scheduler code needs no
+ * plumbing, and code running outside a job (tests, the single-run CLI
+ * path) polls against no token at all, which is a no-op.
  */
 
 #ifndef CSCHED_SUPPORT_CANCEL_HH
 #define CSCHED_SUPPORT_CANCEL_HH
 
-#include <atomic>
 #include <chrono>
 
 namespace csched {
 
-/** A deadline and/or an explicit cancellation request. */
+/** A wall-clock deadline a job's scheduler polls. */
 class CancelToken
 {
   public:
@@ -31,17 +29,13 @@ class CancelToken
     /** Arm a wall-clock deadline @p ms milliseconds from now. */
     void armDeadline(int ms);
 
-    /** Request cancellation explicitly (thread-safe). */
-    void requestCancel() { cancelled_.store(true); }
-
-    /** True once cancelled or past the armed deadline. */
+    /** True once past the armed deadline. */
     bool expired() const;
 
     /** The armed deadline in ms; 0 when none (for diagnostics). */
     int deadlineMs() const { return deadline_ms_; }
 
   private:
-    std::atomic<bool> cancelled_{false};
     bool has_deadline_ = false;
     int deadline_ms_ = 0;
     std::chrono::steady_clock::time_point deadline_;

@@ -102,8 +102,6 @@ struct JsonValue
     /** Insertion-ordered key/value pairs. */
     std::vector<std::pair<std::string, JsonValue>> object;
 
-    bool isNull() const { return kind == Kind::Null; }
-
     /** Object member lookup; nullptr when absent or not an object. */
     const JsonValue *find(const std::string &name) const;
 

@@ -1,6 +1,7 @@
 #include "support/str.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 namespace csched {
@@ -57,6 +58,20 @@ join(const std::vector<std::string> &parts, const std::string &sep)
         out += parts[i];
     }
     return out;
+}
+
+std::optional<int>
+parseNonNegativeInt(const std::string &text)
+{
+    // from_chars takes a leading '-', so demand a digit first.
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
+        return std::nullopt;
+    int value = 0;
+    const char *end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error != std::errc() || stop != end)
+        return std::nullopt;
+    return value;
 }
 
 std::string

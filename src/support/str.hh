@@ -1,13 +1,15 @@
 /**
  * @file
  * String helpers: split/trim/join/case used by the pass-sequence parser
- * and the table printer.
+ * and the table printer, and the strict integer parser behind every
+ * tool's integer flags.
  */
 
 #ifndef CSCHED_SUPPORT_STR_HH
 #define CSCHED_SUPPORT_STR_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,6 +27,13 @@ std::string toUpper(const std::string &text);
 /** Join @p parts with @p sep between consecutive elements. */
 std::string join(const std::vector<std::string> &parts,
                  const std::string &sep);
+
+/**
+ * @p text as a non-negative decimal int: the whole string must be
+ * digits (no sign, no whitespace) and at most INT_MAX; nullopt
+ * otherwise.
+ */
+std::optional<int> parseNonNegativeInt(const std::string &text);
 
 /** printf-style double formatting with @p decimals fraction digits. */
 std::string formatDouble(double value, int decimals);

@@ -225,23 +225,6 @@ DenseReferenceMatrix::preferredTime(InstrId i) const
 }
 
 int
-DenseReferenceMatrix::expectedTime(InstrId i) const
-{
-    checkIndex(i, 0, 0);
-    refresh(i);
-    const double *time = &timeSum_[static_cast<size_t>(i) * numTimes_];
-    double total = 0.0;
-    double weighted = 0.0;
-    for (int t = 0; t < numTimes_; ++t) {
-        total += time[t];
-        weighted += time[t] * t;
-    }
-    if (total <= 1e-300)
-        return 0;
-    return static_cast<int>(weighted / total + 0.5);
-}
-
-int
 DenseReferenceMatrix::runnerUpCluster(InstrId i) const
 {
     if (numClusters_ == 1)

@@ -60,7 +60,6 @@ class DenseReferenceMatrix
     double timeMarginal(InstrId i, int t) const;
     int preferredCluster(InstrId i) const;
     int preferredTime(InstrId i) const;
-    int expectedTime(InstrId i) const;
     int runnerUpCluster(InstrId i) const;
     double confidence(InstrId i) const;
 

@@ -309,6 +309,12 @@ TEST(DistOptionsGrammar, RejectsUnknownKeysAndBadValues)
     EXPECT_FALSE(
         DistOptions::applyOverrides(&options, "liveness-timeout-ms")
             .ok());
+    // 2^32 + 1 does not fit an int: rejected, not wrapped to 1.
+    const int steal_after_ms = options.stealAfterMs;
+    EXPECT_FALSE(DistOptions::applyOverrides(
+                     &options, "steal-after-ms=4294967297")
+                     .ok());
+    EXPECT_EQ(options.stealAfterMs, steal_after_ms);
 }
 
 // --- Daemon vs hostile peers ------------------------------------------

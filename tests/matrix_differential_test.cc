@@ -12,8 +12,9 @@
  * implementations skip work the dense engine performs explicitly, and
  * repeated normalize() calls that exercise the shared clean-skip
  * predicate -- and cross-check all derived observables (marginals,
- * preferred slots, runner-up, confidence, expected time) after every
- * step.
+ * preferred slots, runner-up, confidence) after every step.  The
+ * rollback scripts also leave rows unnormalized between ops, so
+ * several kernels meet one dirty row with reads in between.
  */
 
 #include <gtest/gtest.h>
@@ -62,7 +63,6 @@ expectRowIdentical(const PreferenceMatrix &blocked,
     ASSERT_EQ(blocked.preferredCluster(i), dense.preferredCluster(i));
     ASSERT_EQ(blocked.preferredTime(i), dense.preferredTime(i));
     ASSERT_EQ(blocked.runnerUpCluster(i), dense.runnerUpCluster(i));
-    ASSERT_EQ(blocked.expectedTime(i), dense.expectedTime(i));
     ASSERT_TRUE(sameBits(blocked.confidence(i), dense.confidence(i)))
         << "confidence i=" << i;
 }
@@ -279,6 +279,9 @@ TEST(MatrixDifferential, RandomScriptsAreBitIdentical)
  * once, so rollbacks return rows to the pristine template, and the
  * ops after them -- a window restriction in particular, which writes
  * only the narrowed window of a pristine row -- start from it again.
+ * The script skips the normalize on about a third of the steps, so
+ * later ops (and undo scopes) meet rows that one or more kernels left
+ * unnormalized.
  */
 TEST(MatrixDifferential, RandomScriptsWithRollbacksAreBitIdentical)
 {
@@ -311,12 +314,13 @@ TEST(MatrixDifferential, RandomScriptsWithRollbacksAreBitIdentical)
             } else {
                 applyOp(e, script, i, op);
             }
-            // Before the normalize too: the fused kernels' incremental
-            // cache updates (cluster sums, cached argmax) must match a
-            // full recomputation.
+            // Before the normalize too: a row the kernels left dirty
+            // must read the same as a full recomputation.
             ASSERT_NO_FATAL_FAILURE(expectRowIdentical(e.blocked, e.dense, i))
                 << "round " << round << " step " << step << " (op " << op
                 << ")";
+            if (script.range(3) == 0)
+                continue;  // leave the row dirty for the next op
             e.blocked.row(i).normalize();
             e.dense.normalize(i);
             ASSERT_NO_FATAL_FAILURE(expectRowIdentical(e.blocked, e.dense, i))

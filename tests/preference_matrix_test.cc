@@ -86,7 +86,7 @@ TEST(PreferenceMatrix, CachedPreferredClusterFollowsFusedUpdates)
     w.row(0).scaleCluster(0, 2.0);
     w.row(0).normalize();  // fills the sums and caches the argmax
     EXPECT_EQ(w.preferredCluster(0), 0);
-    w.row(0).scaleCluster(2, 5.0);  // updates one sum in place
+    w.row(0).scaleCluster(2, 5.0);  // invalidates both; the read refills
     EXPECT_EQ(w.preferredCluster(0), 2);
     const double factors[3] = {1.0, 9.0, 1.0};
     w.row(0).scaleClusters(factors);
@@ -294,18 +294,11 @@ TEST(PreferenceMatrix, BlendWidensWindowToUnion)
     EXPECT_GT(w.at(0, 6, 0), 0.0);  // mass arrived from the source
 }
 
-TEST(PreferenceMatrix, ExpectedTimeOfSymmetricRowIsCentre)
-{
-    const PreferenceMatrix w(1, 5, 2);
-    EXPECT_EQ(w.expectedTime(0), 2);
-}
-
-TEST(PreferenceMatrix, ExpectedTimeFollowsMass)
+TEST(PreferenceMatrix, PreferredTimeFollowsMass)
 {
     PreferenceMatrix w(1, 6, 1);
     w.row(0).scaleTime(5, 50.0);
     EXPECT_EQ(w.preferredTime(0), 5);
-    EXPECT_GE(w.expectedTime(0), 4);
 }
 
 TEST(PreferenceMatrix, PreferredVectorsMatchScalars)
@@ -334,17 +327,6 @@ TEST(PreferenceMatrix, WindowSpanExposesContiguousClusterBlock)
     for (size_t k = 0; k < span.size(); ++k)
         EXPECT_EQ(span[k],
                   w.at(0, view.windowLo() + static_cast<int>(k), 1));
-}
-
-TEST(PreferenceMatrix, MatrixViewRoundTrips)
-{
-    PreferenceMatrix w(2, 3, 2);
-    auto view = w.view();
-    EXPECT_EQ(view.numInstructions(), 2);
-    view.row(0).scaleCluster(1, 5.0);
-    view.normalizeAll();
-    EXPECT_EQ(view.constRow(0).preferredCluster(), 1);
-    EXPECT_NEAR(rowSum(w, 0), 1.0, 1e-12);
 }
 
 TEST(PreferenceMatrix, CopyIsIndependent)
@@ -640,7 +622,6 @@ expectSameDerived(const PreferenceMatrix &got, const PreferenceMatrix &want,
     EXPECT_EQ(got.preferredCluster(i), want.preferredCluster(i)) << what;
     EXPECT_EQ(got.preferredTime(i), want.preferredTime(i)) << what;
     EXPECT_EQ(got.runnerUpCluster(i), want.runnerUpCluster(i)) << what;
-    EXPECT_EQ(got.expectedTime(i), want.expectedTime(i)) << what;
     EXPECT_EQ(bits(got.confidence(i)), bits(want.confidence(i))) << what;
 }
 

@@ -206,6 +206,16 @@ TEST(Str, FormatDouble)
     EXPECT_EQ(formatDouble(2.0, 0), "2");
 }
 
+TEST(Str, ParseNonNegativeIntTakesOnlyWholeInRangeDecimals)
+{
+    EXPECT_EQ(parseNonNegativeInt("0"), 0);
+    EXPECT_EQ(parseNonNegativeInt("007"), 7);
+    EXPECT_EQ(parseNonNegativeInt("2147483647"), 2147483647);
+    for (const char *bad : {"", "abc", "2x", "x2", "-1", "-0", "+1", " 1",
+                            "1 ", "1.5", "2147483648", "4294967297"})
+        EXPECT_EQ(parseNonNegativeInt(bad), std::nullopt) << bad;
+}
+
 TEST(Table, AlignsColumnsAndCountsRows)
 {
     TablePrinter table({"name", "value"});

@@ -124,6 +124,12 @@ expect 2 "cli --hosts with --isolate" \
     --hosts 127.0.0.1:1 --isolate
 expect 2 "cli --online with an offline policy" \
     "$cli" --online --policies convergent
+expect 2 "bench grid flags without a subcommand" \
+    "$bench" --workloads fir --quiet
+expect 2 "bench perf --repeats not a number" \
+    "$bench" perf --repeats abc
+expect 2 "bench suite --jobs with trailing characters" \
+    "$bench" suite --workloads fir --jobs 2x --quiet
 
 # ---- Job failures: exit 1, or 0 with --keep-going -------------------
 

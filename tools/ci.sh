@@ -21,7 +21,9 @@
 # mid-grid, and demands the grid heal by lease reassignment with a
 # report byte-identical to the in-process run.  The degraded-grid
 # smoke (plain and ASan) sweeps seeded fault-mapped meshes and demands
-# byte-identical reports across --jobs and under --isolate.
+# byte-identical reports across --jobs and under --isolate.  The
+# perfbench smoke builds csched_perfbench from this tree and runs
+# one short traced convergent-regions cycle.
 #
 #   tools/ci.sh [BUILD_DIR_PREFIX]
 #
@@ -88,11 +90,11 @@ kill_resume_smoke() {
                 --algorithms uas,convergent --jobs 2 --quiet
                 --no-timings)
 
-    "${bench}" "${args[@]}" --json "${tmp}/base.json"
+    "${bench}" suite "${args[@]}" --json "${tmp}/base.json"
 
     # Slow every job so SIGTERM lands mid-grid; the run must drain,
     # journal what finished, and exit 128+15.
-    "${bench}" "${args[@]}" --json "${tmp}/partial.json" \
+    "${bench}" suite "${args[@]}" --json "${tmp}/partial.json" \
         --journal "${tmp}/journal.jsonl" \
         --inject 'runner.job.start=slow:ms=200' &
     local pid=$!
@@ -110,7 +112,7 @@ kill_resume_smoke() {
         exit 1
     }
 
-    "${bench}" "${args[@]}" --json "${tmp}/final.json" \
+    "${bench}" suite "${args[@]}" --json "${tmp}/final.json" \
         --journal "${tmp}/journal.jsonl" --resume
     diff "${tmp}/base.json" "${tmp}/final.json" || {
         echo "kill-and-resume: resumed report differs from an" \
@@ -119,6 +121,33 @@ kill_resume_smoke() {
     }
     rm -rf "${tmp}"
     echo "=== kill-and-resume ok (143 on SIGTERM, byte-identical resume)"
+}
+
+# Benchmark smoke: build csched_perfbench from this tree in its own
+# build directory (run.py checks its metric names against
+# BENCHMARK.json), then run one short traced convergent-regions cycle.
+# The traced replica must reproduce every untraced assignment and
+# makespan; csched_perfbench counts a divergence as a failed
+# operation, and its final JSON line says "correct": true only when
+# none failed.
+perfbench_smoke() {
+    echo "=== perfbench smoke"
+    local tmp
+    tmp="$(mktemp -d)"
+    CARGO_TARGET_DIR="${prefix}-perfbench" python3 perfbench/run.py \
+        --workload convergent-regions --seed 1 --seconds 2 --trace 1 \
+        >"${tmp}/out" 2>"${tmp}/err" || {
+        echo "perfbench smoke: build or run failed" >&2
+        cat "${tmp}/err" >&2
+        exit 1
+    }
+    tail -n 1 "${tmp}/out" | grep -q '^{"correct": true, ' || {
+        echo "perfbench smoke: the run reported failed operations" >&2
+        cat "${tmp}/out" "${tmp}/err" >&2
+        exit 1
+    }
+    rm -rf "${tmp}"
+    echo "=== perfbench smoke ok"
 }
 
 # Perf regression gate: re-measure the quick cell set in the optimised
@@ -150,7 +179,7 @@ containment_smoke() {
     local tmp
     tmp="$(mktemp -d)"
     local code=0
-    "${bench}" --workloads vvmul,fir --machines vliw2 \
+    "${bench}" suite --workloads vvmul,fir --machines vliw2 \
         --algorithms uas,convergent --jobs 4 --quiet --no-timings \
         --isolate --deadline-ms 2000 --json "${tmp}/report.json" \
         --inject 'worker.crash=fail:match=fir/vliw2/uas;worker.hang=fail:match=vvmul/vliw2/convergent' \
@@ -194,8 +223,8 @@ online_replay_smoke() {
                 --algorithms online-convergent,online-pcc
                 --quiet --no-timings)
 
-    "${bench}" "${args[@]}" --jobs 1 --json "${tmp}/serial.json"
-    "${bench}" "${args[@]}" --jobs 4 --json "${tmp}/parallel.json"
+    "${bench}" suite "${args[@]}" --jobs 1 --json "${tmp}/serial.json"
+    "${bench}" suite "${args[@]}" --jobs 4 --json "${tmp}/parallel.json"
     diff "${tmp}/serial.json" "${tmp}/parallel.json" || {
         echo "online smoke: report depends on --jobs" >&2
         exit 1
@@ -243,9 +272,9 @@ degraded_grid_smoke() {
                 --machines 'raw4x4,raw4x4/faults=seed:7,tiles:12%,links:5%,slow:12%'
                 --algorithms uas,convergent,pcc,rawcc
                 --quiet --no-timings)
-    "${bench}" "${args[@]}" --jobs 1 --json "${tmp}/serial.json"
-    "${bench}" "${args[@]}" --jobs 4 --json "${tmp}/parallel.json"
-    "${bench}" "${args[@]}" --jobs 4 --isolate \
+    "${bench}" suite "${args[@]}" --jobs 1 --json "${tmp}/serial.json"
+    "${bench}" suite "${args[@]}" --jobs 4 --json "${tmp}/parallel.json"
+    "${bench}" suite "${args[@]}" --jobs 4 --isolate \
         --json "${tmp}/isolated.json"
     diff "${tmp}/serial.json" "${tmp}/parallel.json" || {
         echo "degraded smoke: report depends on --jobs" >&2
@@ -368,7 +397,7 @@ dist_smoke() {
                 --algorithms uas,convergent --jobs 4 --quiet
                 --no-timings)
 
-    "${bench}" "${args[@]}" --json "${tmp}/base.json"
+    "${bench}" suite "${args[@]}" --json "${tmp}/base.json"
 
     # The port-file handshake: ephemeral ports, discovered once the
     # daemon is actually listening.  The unique --port-file path also
@@ -390,7 +419,7 @@ dist_smoke() {
     # Slow the jobs so the SIGKILL lands mid-grid, partition one cell's
     # first dispatch, and shrink the liveness/reconnect knobs so the
     # healing happens inside smoke-test time.
-    "${bench}" "${args[@]}" --json "${tmp}/dist.json" \
+    "${bench}" suite "${args[@]}" --json "${tmp}/dist.json" \
         --hosts "${hosts}" \
         --dist-opts 'liveness-timeout-ms=800,heartbeat-interval-ms=100,reconnect-base-ms=20,partition-ms=300' \
         --inject 'runner.job.start=slow:ms=150;net.partition=fail:nth=1:match=fir/*' &
@@ -445,6 +474,7 @@ serve_smoke "${prefix}-plain" plain
 serve_smoke "${prefix}-asan" asan
 dist_smoke "${prefix}-plain" plain
 dist_smoke "${prefix}-asan" asan
+perfbench_smoke
 perf_gate "${prefix}-plain"
 
-echo "=== all suites passed (plain + tsan + asan/ubsan tier1+tier2 + smokes + online replay + degraded grid + serve drain + dist fleet + perf gate)"
+echo "=== all suites passed (plain + tsan + asan/ubsan tier1+tier2 + smokes + online replay + degraded grid + serve drain + dist fleet + perfbench + perf gate)"

@@ -98,9 +98,6 @@
  * two localhost csched_workerd daemons and time a small fixed grid
  * through them against the same grid under --isolate, so the
  * remote-dispatch overhead is a gated number, not a guess.
- *
- * Invoking csched_bench with grid flags but no subcommand keeps
- * working as `suite` for one release (compatibility shim).
  */
 
 #include <sys/prctl.h>
@@ -529,9 +526,12 @@ runPerf(const char *argv0, const std::vector<std::string> &args)
         } else if (arg == "--baseline-dir") {
             baseline_dir = next();
         } else if (arg == "--repeats") {
-            repeats = std::stoi(next());
-            if (repeats < 1)
-                usage(argv0, "--repeats must be >= 1");
+            const std::string text = next();
+            const std::optional<int> parsed = parseNonNegativeInt(text);
+            if (!parsed || *parsed < 1)
+                usage(argv0, "--repeats expects an integer >= 1, got '" +
+                                 text + "'");
+            repeats = *parsed;
         } else if (arg == "--quick") {
             quick = true;
         } else if (arg == "--check") {
@@ -990,11 +990,7 @@ main(int argc, char **argv)
         return runList();
     if (!args.empty() && args[0] == "--version")
         return printToolVersion("csched_bench");
-    if (!args.empty() && args[0] == "help")
+    if (args.empty() || args[0] == "help")
         usage(argv[0]);
-    // Compatibility shim: bare grid flags keep meaning `suite` for
-    // one release.
-    if (args.empty() || args[0].rfind("--", 0) == 0)
-        return runSuite(argv[0], args);
     usage(argv[0], "unknown subcommand '" + args[0] + "'");
 }

@@ -520,18 +520,11 @@ main(int argc, char **argv)
         };
         auto nextInt = [&]() -> int {
             const std::string text = next();
-            try {
-                std::size_t used = 0;
-                const int value = std::stoi(text, &used);
-                if (used != text.size() || value < 0)
-                    throw std::invalid_argument(text);
-                return value;
-            } catch (...) {
-                usage(argv[0], arg +
-                                   " expects a non-negative integer, "
-                                   "got '" +
-                                   text + "'");
-            }
+            const std::optional<int> value = parseNonNegativeInt(text);
+            if (!value)
+                usage(argv[0], arg + " expects a non-negative integer, "
+                                     "got '" + text + "'");
+            return *value;
         };
         if (arg == "--version") {
             return printToolVersion("csched_load");

@@ -20,30 +20,26 @@ parseGridFlag(const char *argv0, UsageFn usage,
             usage(argv0, arg + " needs a value");
         return args[++k];
     };
-    auto nextInt = [&](const char *floor_why) -> int {
+    auto nextInt = [&]() -> int {
         const std::string text = next();
-        int parsed = 0;
-        try {
-            parsed = std::stoi(text);
-        } catch (...) {
-            usage(argv0, arg + " expects an integer, got '" + text + "'");
-        }
-        if (parsed < 0)
-            usage(argv0, arg + floor_why);
-        return parsed;
+        const std::optional<int> parsed = parseNonNegativeInt(text);
+        if (!parsed)
+            usage(argv0, arg + " expects a non-negative integer, got '" +
+                             text + "'");
+        return parsed.value_or(0);  // usage() exits; no value is used
     };
 
     GridSpec &grid = flags.grid;
     if (arg == "--jobs") {
-        grid.jobs = nextInt(" must be >= 0");
+        grid.jobs = nextInt();
     } else if (arg == "--deadline-ms") {
-        grid.deadlineMs = nextInt(" must be >= 0 (0 = no deadline)");
+        grid.deadlineMs = nextInt();  // 0 = no deadline
     } else if (arg == "--retries") {
-        grid.retries = nextInt(" must be >= 0");
+        grid.retries = nextInt();
     } else if (arg == "--isolate") {
         grid.isolate = true;
     } else if (arg == "--mem-limit-mb") {
-        grid.memLimitMb = nextInt(" must be >= 0 (0 = unlimited)");
+        grid.memLimitMb = nextInt();  // 0 = unlimited
     } else if (arg == "--journal") {
         grid.journalPath = next();
     } else if (arg == "--resume") {
