@@ -1,7 +1,7 @@
 #include "baseline/pcc.hh"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 #include <tuple>
 
 #include "sched/list_scheduler.hh"
@@ -11,72 +11,125 @@
 
 namespace csched {
 
-int
-PccScheduler::estimate(const DependenceGraph &graph,
-                       const std::vector<int> &assignment) const
+namespace {
+
+/**
+ * The estimator behind PccScheduler::estimate, with what does not
+ * change between estimates of one graph computed once: the alive-pair
+ * communication cost, the per-cluster issue widths and the predecessor
+ * counts.  The issue buckets and the ready heap are cleared, keeping
+ * their capacity, at the start of every estimate.  The descent calls
+ * it once per (component, cluster) probe.
+ */
+class Estimator
 {
-    const int n = graph.numInstructions();
-    const int num_clusters = machine_.numClusters();
-    // Neighbour latency between the first two alive clusters (dead
-    // resources never host work, so they must not price the estimate).
-    const auto alive = machine_.aliveClusters();
-    const int comm_cost =
-        alive.size() > 1 ? machine_.commLatency(alive[0], alive[1]) : 1;
+  public:
+    Estimator(const MachineModel &machine, const DependenceGraph &graph)
+        : machine_(machine),
+          graph_(graph),
+          width_(machine.numClusters()),
+          issued_(machine.numClusters()),
+          predCount_(graph.numInstructions()),
+          unplacedPreds_(graph.numInstructions()),
+          dataReady_(graph.numInstructions())
+    {
+        // Neighbour latency between the first two alive clusters
+        // (dead resources never host work, so they must not price the
+        // estimate).
+        const auto alive = machine.aliveClusters();
+        commCost_ =
+            alive.size() > 1 ? machine.commLatency(alive[0], alive[1]) : 1;
+        // Issue width per cluster: total FU slots, ignoring typing.
+        for (int c = 0; c < machine.numClusters(); ++c)
+            width_[c] = static_cast<int>(machine.clusterFus(c).size());
+        for (InstrId id = 0; id < graph.numInstructions(); ++id)
+            predCount_[id] = static_cast<int>(graph.preds(id).size());
+    }
 
-    // Issue width per cluster: total FU slots, ignoring typing.
-    std::vector<int> width(num_clusters);
-    for (int c = 0; c < num_clusters; ++c)
-        width[c] = static_cast<int>(machine_.clusterFus(c).size());
+    /** Estimated makespan of @p assignment. */
+    int
+    operator()(const std::vector<int> &assignment)
+    {
+        for (auto &slots : issued_)
+            slots.clear();
+        unplacedPreds_ = predCount_;
+        std::fill(dataReady_.begin(), dataReady_.end(), 0);
+        heap_.clear();
+        for (InstrId id = 0; id < graph_.numInstructions(); ++id)
+            if (predCount_[id] == 0)
+                push(0, id);
 
-    // Cycle-bucketed issue counts grow on demand.
-    std::vector<std::vector<int>> issued(num_clusters);
-    auto issue_slot = [&](int cluster, int from) {
-        auto &slots = issued[cluster];
+        int makespan = 0;
+        while (!heap_.empty()) {
+            std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+            const auto [ready, neg_slack, id] = heap_.back();
+            heap_.pop_back();
+            const int cluster = assignment[id];
+            const int start = issueSlot(cluster, ready);
+            int finish =
+                start + machine_.execLatency(cluster, graph_.latency(id));
+            const auto &instr = graph_.instr(id);
+            if (isMemory(instr.op))
+                finish += machine_.memoryPenalty(instr.memBank, cluster);
+            makespan = std::max(makespan, finish);
+            for (InstrId succ : graph_.succs(id)) {
+                const int arrival =
+                    finish + (assignment[succ] == cluster ? 0 : commCost_);
+                dataReady_[succ] = std::max(dataReady_[succ], arrival);
+                if (--unplacedPreds_[succ] == 0)
+                    push(dataReady_[succ], succ);
+            }
+        }
+        return makespan;
+    }
+
+  private:
+    /** (data-ready cycle, -slack, id): popped smallest first. */
+    using Entry = std::tuple<int, int, InstrId>;
+
+    void
+    push(int ready, InstrId id)
+    {
+        heap_.emplace_back(ready, -graph_.latestFinishSlack(id), id);
+        std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+    }
+
+    /** First cycle from @p from with a free issue slot on @p cluster;
+     *  takes it.  The cycle-bucketed counts grow on demand. */
+    int
+    issueSlot(int cluster, int from)
+    {
+        auto &slots = issued_[cluster];
         int cycle = from;
         while (true) {
             if (cycle >= static_cast<int>(slots.size()))
                 slots.resize(cycle + 1, 0);
-            if (slots[cycle] < width[cluster]) {
+            if (slots[cycle] < width_[cluster]) {
                 ++slots[cycle];
                 return cycle;
             }
             ++cycle;
         }
-    };
-
-    std::vector<int> unplaced_preds(n);
-    std::vector<int> data_ready(n, 0);
-    using Entry = std::tuple<int, int, InstrId>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-    for (InstrId id = 0; id < n; ++id) {
-        unplaced_preds[id] = static_cast<int>(graph.preds(id).size());
-        if (unplaced_preds[id] == 0)
-            heap.emplace(0, -graph.latestFinishSlack(id), id);
     }
 
-    int makespan = 0;
-    while (!heap.empty()) {
-        const auto [ready, neg_slack, id] = heap.top();
-        heap.pop();
-        const int cluster = assignment[id];
-        const int start = issue_slot(cluster, ready);
-        int finish =
-            start + machine_.execLatency(cluster, graph.latency(id));
-        const auto &instr = graph.instr(id);
-        if (isMemory(instr.op))
-            finish += machine_.memoryPenalty(instr.memBank, cluster);
-        makespan = std::max(makespan, finish);
-        for (InstrId succ : graph.succs(id)) {
-            const int arrival =
-                finish + (assignment[succ] == cluster ? 0 : comm_cost);
-            data_ready[succ] = std::max(data_ready[succ], arrival);
-            if (--unplaced_preds[succ] == 0) {
-                heap.emplace(data_ready[succ],
-                             -graph.latestFinishSlack(succ), succ);
-            }
-        }
-    }
-    return makespan;
+    const MachineModel &machine_;
+    const DependenceGraph &graph_;
+    int commCost_ = 1;
+    std::vector<int> width_;
+    std::vector<std::vector<int>> issued_;
+    std::vector<int> predCount_;
+    std::vector<int> unplacedPreds_;
+    std::vector<int> dataReady_;
+    std::vector<Entry> heap_;
+};
+
+} // namespace
+
+int
+PccScheduler::estimate(const DependenceGraph &graph,
+                       const std::vector<int> &assignment) const
+{
+    return Estimator(machine_, graph)(assignment);
 }
 
 int
@@ -242,9 +295,10 @@ PccScheduler::run(const DependenceGraph &graph) const
         for (InstrId id = 0; id < n; ++id)
             assignment[id] = comp_cluster[component[id]];
     };
+    Estimator estimator(machine_, graph);
     auto evaluate = [&]() {
         materialize();
-        return estimate(graph, assignment);
+        return estimator(assignment);
     };
 
     int best_makespan = evaluate();

@@ -1,6 +1,8 @@
 #include "baseline/uas.hh"
 
 #include <algorithm>
+#include <compare>
+#include <iterator>
 #include <limits>
 
 #include "machine/raw_machine.hh"
@@ -14,6 +16,23 @@ namespace csched {
 namespace {
 
 constexpr int kInfinity = std::numeric_limits<int>::max() / 4;
+
+/**
+ * A free instruction's preference for one cluster (CPSC with the
+ * paper's preplacement modification): memory penalty, then operands
+ * not yet on (or moving to) the cluster, then load.  The cluster id
+ * ends the key, so it is a total order: any sort or selection over it
+ * gives the one order a stable sort would.
+ */
+struct ClusterKey
+{
+    int penalty;
+    int missing;
+    int load;
+    int cluster;
+
+    auto operator<=>(const ClusterKey &) const = default;
+};
 
 /**
  * All mutable state of one UAS run.
@@ -44,11 +63,17 @@ struct UasState
                       machine.numClusters(),
                   -1),
           load(machine.numClusters(), 0),
-          predEdges(graph.numInstructions())
+          predEdges(graph.numInstructions()),
+          executors(kNumOpcodes),
+          missing(machine.numClusters())
     {
         for (const auto &edge : graph.edges())
             predEdges[edge.dst].emplace_back(
                 edge.src, edge.kind == DepKind::Data);
+        for (int op = 0; op < kNumOpcodes; ++op)
+            for (int c = 0; c < machine.numClusters(); ++c)
+                if (machine.canExecute(c, static_cast<Opcode>(op)))
+                    executors[op].push_back(c);
     }
 
     const MachineModel &machine;
@@ -64,6 +89,12 @@ struct UasState
     std::vector<int> load;     // instructions per cluster
     /** (pred, isData) pairs per instruction. */
     std::vector<std::vector<std::pair<InstrId, bool>>> predEdges;
+    /** Clusters that can execute each opcode, ascending. */
+    std::vector<std::vector<int>> executors;
+    /** Per-candidate scratch, reused: data operands absent per
+     *  cluster, and the keys of the clusters holding every operand. */
+    std::vector<int> missing;
+    std::vector<ClusterKey> holding;
 
     int &
     avail(InstrId i, int c)
@@ -165,6 +196,87 @@ struct UasState
         ++load[cluster];
         return true;
     }
+
+    /** Issue @p id on @p cluster at @p cycle if its operands are there. */
+    bool
+    tryIssue(InstrId id, int cluster, int cycle)
+    {
+        return operandsReady(id, cluster, cycle) &&
+               issue(id, cluster, cycle);
+    }
+
+    /** Start every missing operand copy towards @p target this cycle. */
+    void
+    commitTo(InstrId id, int target, int cycle)
+    {
+        for (const auto &[pred, is_data] : predEdges[id]) {
+            if (!is_data)
+                continue;
+            if (avail(pred, target) != -1)
+                continue;  // already there or already in flight
+            if (tryIssueComm(pred, target, cycle))
+                committedCluster[id] = target;
+        }
+    }
+
+    /**
+     * Consider candidate @p id at @p cycle: issue it on the first
+     * cluster, in cluster-priority order, where it can issue right
+     * now; otherwise commit to its preferred cluster and issue as many
+     * of the missing copies as this cycle allows.  Returns true when
+     * @p id was issued.
+     */
+    bool
+    place(InstrId id, int cycle)
+    {
+        const auto &instr = graph.instr(id);
+        // Preplaced instructions only consider their home; one with
+        // copies already in flight keeps its cluster, since changing
+        // horses would strand them.
+        if (instr.preplaced() || committedCluster[id] != -1) {
+            const int cluster = instr.preplaced() ? instr.homeCluster
+                                                  : committedCluster[id];
+            if (tryIssue(id, cluster, cycle))
+                return true;
+            commitTo(id, cluster, cycle);
+            return false;
+        }
+
+        // Free instructions: one key per executable cluster.  A data
+        // operand with no value on (or in flight to) a cluster makes
+        // operandsReady fail there, so only the clusters holding
+        // every operand can issue this cycle, and only they are
+        // sorted; the preferred cluster is the minimum over all keys.
+        const int k = machine.numClusters();
+        std::fill(missing.begin(), missing.end(), 0);
+        for (const auto &[pred, is_data] : predEdges[id]) {
+            if (!is_data)
+                continue;
+            const int *row = &availAt[static_cast<size_t>(pred) * k];
+            for (int c = 0; c < k; ++c)
+                missing[c] += row[c] == -1;
+        }
+        const bool memory = isMemory(instr.op);
+        const auto &clusters = executors[static_cast<int>(instr.op)];
+        CSCHED_ASSERT(!clusters.empty(), "no cluster executes ",
+                      opcodeName(instr.op));
+        holding.clear();
+        ClusterKey preferred{kInfinity, kInfinity, kInfinity, kInfinity};
+        for (const int c : clusters) {
+            const ClusterKey key{
+                memory ? machine.memoryPenalty(instr.memBank, c) : 0,
+                missing[c], load[c], c};
+            preferred = std::min(preferred, key);
+            if (key.missing == 0)
+                holding.push_back(key);
+        }
+        std::sort(holding.begin(), holding.end());
+        for (const ClusterKey &key : holding)
+            if (tryIssue(id, key.cluster, cycle))
+                return true;
+        commitTo(id, preferred.cluster, cycle);
+        return false;
+    }
 };
 
 } // namespace
@@ -178,10 +290,18 @@ ScheduleResult
 UasScheduler::run(const DependenceGraph &graph) const
 {
     const int n = graph.numInstructions();
-    const int num_clusters = machine_.numClusters();
     UasState state(machine_, graph);
     const auto priority = criticalPathPriority(graph);
+    auto before = [&](InstrId a, InstrId b) {
+        if (priority[a] != priority[b])
+            return priority[a] > priority[b];
+        return a < b;
+    };
 
+    // The ready list stays sorted by (priority desc, id asc).  Each
+    // cycle's candidates are the instructions ready when the cycle
+    // starts: those that become ready during cycle t wait in
+    // `arrivals` and are merged in once cycle t ends.
     std::vector<int> unplaced_preds(n, 0);
     std::vector<InstrId> ready;
     for (InstrId id = 0; id < n; ++id) {
@@ -189,88 +309,34 @@ UasScheduler::run(const DependenceGraph &graph) const
         if (unplaced_preds[id] == 0)
             ready.push_back(id);
     }
+    std::sort(ready.begin(), ready.end(), before);
+    std::vector<InstrId> arrivals;
+    std::vector<InstrId> merged;
 
     int remaining = n;
     int cycle = 0;
     while (remaining > 0) {
         checkpoint("uas.cycle");
-        std::vector<InstrId> candidates = ready;
-        std::stable_sort(candidates.begin(), candidates.end(),
-                         [&](InstrId a, InstrId b) {
-                             if (priority[a] != priority[b])
-                                 return priority[a] > priority[b];
-                             return a < b;
-                         });
-
-        for (InstrId id : candidates) {
-            const auto &instr = graph.instr(id);
-
-            // Cluster priority (CPSC with the paper's preplacement
-            // modification): preplaced instructions only consider
-            // their home; free instructions order clusters by memory
-            // penalty, then missing operands, then load.
-            std::vector<int> order;
-            if (instr.preplaced()) {
-                order.push_back(instr.homeCluster);
-            } else if (state.committedCluster[id] != -1) {
-                // Copies are already in flight towards a cluster;
-                // changing horses would strand them.
-                order.push_back(state.committedCluster[id]);
-            } else {
-                for (int c = 0; c < num_clusters; ++c)
-                    if (machine_.canExecute(c, instr.op))
-                        order.push_back(c);
-                auto key = [&](int c) {
-                    const int penalty =
-                        isMemory(instr.op)
-                            ? machine_.memoryPenalty(instr.memBank, c)
-                            : 0;
-                    int missing = 0;
-                    for (const auto &[pred, is_data] :
-                         state.predEdges[id]) {
-                        if (is_data && state.avail(pred, c) == -1)
-                            ++missing;
-                    }
-                    return std::make_tuple(penalty, missing,
-                                           state.load[c], c);
-                };
-                std::stable_sort(order.begin(), order.end(),
-                                 [&](int a, int b) {
-                                     return key(a) < key(b);
-                                 });
-            }
-
-            // First choice: a cluster where the instruction can issue
-            // right now.
-            bool issued = false;
-            for (int cluster : order) {
-                if (state.operandsReady(id, cluster, cycle) &&
-                    state.issue(id, cluster, cycle)) {
-                    issued = true;
-                    break;
-                }
-            }
-            if (issued) {
-                --remaining;
-                ready.erase(std::find(ready.begin(), ready.end(), id));
-                for (InstrId succ : graph.succs(id))
-                    if (--unplaced_preds[succ] == 0)
-                        ready.push_back(succ);
+        // Candidates that issue drop out of the list in the same pass.
+        size_t kept = 0;
+        for (size_t r = 0; r < ready.size(); ++r) {
+            const InstrId id = ready[r];
+            if (!state.place(id, cycle)) {
+                ready[kept++] = id;
                 continue;
             }
-
-            // Otherwise commit to the preferred cluster and issue as
-            // many of the missing copies as this cycle allows.
-            const int target = order.front();
-            for (const auto &[pred, is_data] : state.predEdges[id]) {
-                if (!is_data)
-                    continue;
-                if (state.avail(pred, target) != -1)
-                    continue;  // already there or already in flight
-                if (state.tryIssueComm(pred, target, cycle))
-                    state.committedCluster[id] = target;
-            }
+            --remaining;
+            for (InstrId succ : graph.succs(id))
+                if (--unplaced_preds[succ] == 0)
+                    arrivals.push_back(succ);
         }
+        ready.resize(kept);
+        std::sort(arrivals.begin(), arrivals.end(), before);
+        merged.clear();
+        std::merge(ready.begin(), ready.end(), arrivals.begin(),
+                   arrivals.end(), std::back_inserter(merged), before);
+        ready.swap(merged);
+        arrivals.clear();
         ++cycle;
         CSCHED_ASSERT(cycle < kInfinity, "UAS failed to make progress");
     }

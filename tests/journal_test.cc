@@ -138,6 +138,20 @@ TEST(JobJournal, MissingFileIsAnEmptyReplay)
     EXPECT_TRUE(replay->rewriteHeader);
 }
 
+/**
+ * The grid the interrupt-and-resume checks run: ten jobs, with
+ * fir/vliw2/convergent last.  The pool starts jobs in grid order, so
+ * with at most nine threads that job starts only once another has
+ * completed and been journaled.
+ */
+GridSpec
+interruptGrid(int jobs)
+{
+    GridSpec grid = smallGrid(jobs);
+    grid.workloads = {"vvmul", "yuv", "jacobi", "life", "fir"};
+    return grid;
+}
+
 /** Interrupt the grid via the deterministic fault point, journaling
  * what completed, then resume to a byte-identical report. */
 void
@@ -148,14 +162,14 @@ checkInjectedInterruptResume(int interrupted_jobs, int resumed_jobs)
         tempPath("journal-" + std::to_string(interrupted_jobs) + "-" +
                  std::to_string(resumed_jobs) + ".jsonl");
 
-    const auto baseline = runGrid(smallGrid());
+    const auto baseline = runGrid(interruptGrid(2));
     ASSERT_TRUE(baseline.allOk());
 
     // fir/vliw2/convergent pulls the plug the moment it starts; every
     // job not yet finished comes back `interrupted`.
     const auto plan =
         mustParse("runner.interrupt=fail:match=fir/vliw2/convergent");
-    auto interrupted = smallGrid(interrupted_jobs);
+    auto interrupted = interruptGrid(interrupted_jobs);
     interrupted.journalPath = path;
     interrupted.faults = &plan;
     const auto partial = runGrid(interrupted);
@@ -170,7 +184,7 @@ checkInjectedInterruptResume(int interrupted_jobs, int resumed_jobs)
               std::string::npos);
 
     clearInterrupt();
-    auto resumed_grid = smallGrid(resumed_jobs);
+    auto resumed_grid = interruptGrid(resumed_jobs);
     resumed_grid.journalPath = path;
     resumed_grid.resume = true;
     const auto resumed = runGrid(resumed_grid);

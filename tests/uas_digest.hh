@@ -1,0 +1,90 @@
+/**
+ * @file
+ * Test-only helpers that pin UAS schedules to recorded digests: build
+ * a paper kernel the way the mesh benchmarks do (16 banks,
+ * preplacement re-homed for the machine), schedule it, and fold every
+ * placement and every communication event into one 64-bit hash.
+ */
+
+#ifndef CSCHED_TESTS_UAS_DIGEST_HH
+#define CSCHED_TESTS_UAS_DIGEST_HH
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+
+#include "baseline/uas.hh"
+#include "eval/experiment.hh"
+#include "machine/machine_spec.hh"
+#include "sched/schedule.hh"
+#include "workloads/workloads.hh"
+
+namespace csched {
+
+/** 64-bit FNV-1a over every field of @p schedule, in a fixed order. */
+inline uint64_t
+scheduleDigest(const Schedule &schedule)
+{
+    uint64_t hash = 14695981039346656037ull;
+    auto mix = [&](int64_t value) {
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= static_cast<uint64_t>(value >> (8 * byte)) & 0xff;
+            hash *= 1099511628211ull;
+        }
+    };
+    mix(schedule.numInstructions());
+    for (InstrId id = 0; id < schedule.numInstructions(); ++id) {
+        const Placement &p = schedule.at(id);
+        mix(p.cluster);
+        mix(p.cycle);
+        mix(p.fu);
+        mix(p.finish);
+    }
+    mix(static_cast<int64_t>(schedule.comms().size()));
+    for (const CommEvent &event : schedule.comms()) {
+        mix(event.producer);
+        mix(event.fromCluster);
+        mix(event.toCluster);
+        mix(event.start);
+        mix(event.arrive);
+        mix(event.fu);
+        mix(static_cast<int64_t>(event.linkSlots.size()));
+        for (const auto &[link, cycle] : event.linkSlots) {
+            mix(link);
+            mix(cycle);
+        }
+    }
+    return hash;
+}
+
+/** One recorded schedule: a kernel on a machine spec, and its digest. */
+struct RecordedDigest
+{
+    const char *machine;
+    const char *kernel;
+    uint64_t digest;
+};
+
+/**
+ * Schedule @p recorded.kernel on @p recorded.machine with UAS and
+ * expect the recorded digest.
+ */
+inline void
+expectRecordedDigest(const RecordedDigest &recorded)
+{
+    auto machine = tryParseMachineSpec(recorded.machine);
+    ASSERT_TRUE(machine.ok()) << recorded.machine;
+    DependenceGraph graph =
+        findWorkload(recorded.kernel).build(16, (*machine)->numClusters());
+    remapPreplacedForMachine(graph, **machine);
+    const Schedule schedule = UasScheduler(**machine).schedule(graph);
+    EXPECT_EQ(scheduleDigest(schedule), recorded.digest)
+        << recorded.kernel << " on " << recorded.machine << ": digest 0x"
+        << std::hex << scheduleDigest(schedule) << std::dec
+        << ", makespan " << schedule.makespan();
+}
+
+} // namespace csched
+
+#endif // CSCHED_TESTS_UAS_DIGEST_HH

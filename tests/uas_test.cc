@@ -12,6 +12,7 @@
 #include "machine/clustered_vliw.hh"
 #include "machine/raw_machine.hh"
 #include "sched/schedule_checker.hh"
+#include "uas_digest.hh"
 #include "workloads/workloads.hh"
 
 namespace csched {
@@ -103,6 +104,29 @@ TEST(Uas, ExploitsParallelismAcrossClusters)
     for (int c = 0; c < 4; ++c)
         used += schedule.clusterLoad(c) > 0 ? 1 : 0;
     EXPECT_EQ(used, 4);
+}
+
+// Every placement and comm event of UAS on three paper kernels, pinned
+// to digests of the schedules the original cycle loop produced (a full
+// stable sort of the ready list and of every candidate's clusters).
+// vliw4 takes the transfer-unit copy path; the meshes take the network
+// path, with and without dead tiles and links.
+TEST(Uas, MeshSchedulesMatchRecordedDigests)
+{
+    const char *const kFaulted = "raw16x16/faults=seed:1,tiles:10%,links:3%";
+    const RecordedDigest recorded[] = {
+        {"vliw4", "mxm", 0xa38edc8c3aebe356ull},
+        {"vliw4", "tomcatv", 0xe1afc1bc21bff058ull},
+        {"vliw4", "fpppp-kernel", 0xe75218a2ab920941ull},
+        {"raw16x16", "mxm", 0xae91cd52a3cd9d77ull},
+        {"raw16x16", "tomcatv", 0xbd8eeff9329729a8ull},
+        {"raw16x16", "fpppp-kernel", 0x95685c743bf52a21ull},
+        {kFaulted, "mxm", 0x181d668c5808598bull},
+        {kFaulted, "tomcatv", 0x93e9e1ae90a5f697ull},
+        {kFaulted, "fpppp-kernel", 0x9676b7577ac8d980ull},
+    };
+    for (const auto &entry : recorded)
+        expectRecordedDigest(entry);
 }
 
 } // namespace

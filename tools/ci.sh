@@ -125,27 +125,33 @@ kill_resume_smoke() {
 
 # Benchmark smoke: build csched_perfbench from this tree in its own
 # build directory (run.py checks its metric names against
-# BENCHMARK.json), then run one short traced convergent-regions cycle.
-# The traced replica must reproduce every untraced assignment and
-# makespan; csched_perfbench counts a divergence as a failed
-# operation, and its final JSON line says "correct": true only when
-# none failed.
+# BENCHMARK.json), then run one short traced cycle of two workloads.
+# convergent-regions: the traced replica must reproduce every untraced
+# assignment and makespan.  mesh-baselines: every UAS, RawCC, PCC and
+# convergent schedule on the 64- to 1024-tile meshes must pass the
+# checker and reach at least the critical path.  csched_perfbench
+# counts a divergence or a rejected schedule as a failed operation,
+# and its final JSON line says "correct": true only when none failed.
 perfbench_smoke() {
-    echo "=== perfbench smoke"
     local tmp
     tmp="$(mktemp -d)"
-    CARGO_TARGET_DIR="${prefix}-perfbench" python3 perfbench/run.py \
-        --workload convergent-regions --seed 1 --seconds 2 --trace 1 \
-        >"${tmp}/out" 2>"${tmp}/err" || {
-        echo "perfbench smoke: build or run failed" >&2
-        cat "${tmp}/err" >&2
-        exit 1
-    }
-    tail -n 1 "${tmp}/out" | grep -q '^{"correct": true, ' || {
-        echo "perfbench smoke: the run reported failed operations" >&2
-        cat "${tmp}/out" "${tmp}/err" >&2
-        exit 1
-    }
+    local workload
+    for workload in convergent-regions mesh-baselines; do
+        echo "=== perfbench smoke (${workload})"
+        CARGO_TARGET_DIR="${prefix}-perfbench" python3 perfbench/run.py \
+            --workload "${workload}" --seed 1 --seconds 2 --trace 1 \
+            >"${tmp}/out" 2>"${tmp}/err" || {
+            echo "perfbench smoke: ${workload}: build or run failed" >&2
+            cat "${tmp}/err" >&2
+            exit 1
+        }
+        tail -n 1 "${tmp}/out" | grep -q '^{"correct": true, ' || {
+            echo "perfbench smoke: ${workload}: the run reported" \
+                 "failed operations" >&2
+            cat "${tmp}/out" "${tmp}/err" >&2
+            exit 1
+        }
+    done
     rm -rf "${tmp}"
     echo "=== perfbench smoke ok"
 }
