@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
+#include <set>
 #include <tuple>
 
 #include "sched/list_scheduler.hh"
@@ -17,9 +19,10 @@ namespace {
  * The estimator behind PccScheduler::estimate, with what does not
  * change between estimates of one graph computed once: the alive-pair
  * communication cost, the per-cluster issue widths and the predecessor
- * counts.  The issue buckets and the ready heap are cleared, keeping
- * their capacity, at the start of every estimate.  The descent calls
- * it once per (component, cluster) probe.
+ * counts and the roots.  The issue buckets and the ready heap are
+ * cleared, keeping their capacity, at the start of every estimate.
+ * The descent calls it once per probe, with its best makespan so far
+ * as the bound.
  */
 class Estimator
 {
@@ -42,22 +45,30 @@ class Estimator
         // Issue width per cluster: total FU slots, ignoring typing.
         for (int c = 0; c < machine.numClusters(); ++c)
             width_[c] = static_cast<int>(machine.clusterFus(c).size());
-        for (InstrId id = 0; id < graph.numInstructions(); ++id)
+        for (InstrId id = 0; id < graph.numInstructions(); ++id) {
             predCount_[id] = static_cast<int>(graph.preds(id).size());
+            if (predCount_[id] == 0)
+                roots_.push_back(id);
+        }
     }
 
-    /** Estimated makespan of @p assignment. */
+    /**
+     * Estimated makespan of @p assignment.  The running maximum finish
+     * only grows, so once it reaches @p bound the estimate stops and
+     * returns that partial maximum: some value >= @p bound, exact
+     * only below it.
+     */
     int
-    operator()(const std::vector<int> &assignment)
+    operator()(const std::vector<int> &assignment,
+               int bound = std::numeric_limits<int>::max())
     {
         for (auto &slots : issued_)
             slots.clear();
         unplacedPreds_ = predCount_;
         std::fill(dataReady_.begin(), dataReady_.end(), 0);
         heap_.clear();
-        for (InstrId id = 0; id < graph_.numInstructions(); ++id)
-            if (predCount_[id] == 0)
-                push(0, id);
+        for (InstrId id : roots_)
+            push(0, id);
 
         int makespan = 0;
         while (!heap_.empty()) {
@@ -72,6 +83,8 @@ class Estimator
             if (isMemory(instr.op))
                 finish += machine_.memoryPenalty(instr.memBank, cluster);
             makespan = std::max(makespan, finish);
+            if (makespan >= bound)
+                return makespan;
             for (InstrId succ : graph_.succs(id)) {
                 const int arrival =
                     finish + (assignment[succ] == cluster ? 0 : commCost_);
@@ -118,6 +131,7 @@ class Estimator
     std::vector<int> width_;
     std::vector<std::vector<int>> issued_;
     std::vector<int> predCount_;
+    std::vector<InstrId> roots_;
     std::vector<int> unplacedPreds_;
     std::vector<int> dataReady_;
     std::vector<Entry> heap_;
@@ -227,26 +241,34 @@ PccScheduler::run(const DependenceGraph &graph) const
         }
     }
 
-    // Inter-component communication volume (data edges).
+    // Inter-component communication volume (data edges): both
+    // directions of every cross-component edge, sorted and
+    // run-length counted into ascending (other component, count)
+    // lists.  Suite-style graphs have thousands of components, so a
+    // dense C x C matrix would not fit.
     std::vector<std::vector<std::pair<int, int>>> comp_edges(
-        num_components);  // (other component, count) accumulated below
+        num_components);
     {
-        std::vector<std::vector<int>> volume(
-            num_components, std::vector<int>(num_components, 0));
+        std::vector<std::pair<int, int>> ends;
         for (const auto &edge : graph.edges()) {
             if (edge.kind != DepKind::Data)
                 continue;
             const int a = component[edge.src];
             const int b = component[edge.dst];
             if (a != b) {
-                ++volume[a][b];
-                ++volume[b][a];
+                ends.emplace_back(a, b);
+                ends.emplace_back(b, a);
             }
         }
-        for (int a = 0; a < num_components; ++a)
-            for (int b = 0; b < num_components; ++b)
-                if (volume[a][b] > 0)
-                    comp_edges[a].emplace_back(b, volume[a][b]);
+        std::sort(ends.begin(), ends.end());
+        for (size_t i = 0; i < ends.size();) {
+            size_t j = i;
+            while (j < ends.size() && ends[j] == ends[i])
+                ++j;
+            comp_edges[ends[i].first].emplace_back(
+                ends[i].second, static_cast<int>(j - i));
+            i = j;
+        }
     }
 
     // ---- Initial assignment: big components first, to the cluster
@@ -291,17 +313,45 @@ PccScheduler::run(const DependenceGraph &graph) const
     const ListScheduler scheduler(machine_);
     const auto priority = criticalPathPriority(graph);
     std::vector<int> assignment(n);
-    auto materialize = [&]() {
-        for (InstrId id = 0; id < n; ++id)
-            assignment[id] = comp_cluster[component[id]];
+    for (InstrId id = 0; id < n; ++id)
+        assignment[id] = comp_cluster[component[id]];
+    auto place = [&](int comp, int cluster) {
+        for (InstrId id : members[comp])
+            assignment[id] = cluster;
     };
     Estimator estimator(machine_, graph);
-    auto evaluate = [&]() {
-        materialize();
-        return estimator(assignment);
+    int best_makespan = estimator(assignment);
+
+    // A probe onto a cluster that holds no instruction sees that
+    // cluster only through its issue width, its latency factor and
+    // the memory penalties of the component's own memory operations:
+    // the communication cost is uniform, and the only successors on
+    // it are the component's members.  Empty clusters that agree on
+    // those give equal estimates, so only the lowest-index one of each
+    // class can be strictly better than the best so far.
+    std::vector<int> cluster_size(num_clusters, 0);
+    for (int comp = 0; comp < num_components; ++comp)
+        cluster_size[comp_cluster[comp]] +=
+            static_cast<int>(members[comp].size());
+    std::vector<std::vector<int>> comp_banks(num_components);
+    for (int comp = 0; comp < num_components; ++comp) {
+        auto &banks = comp_banks[comp];
+        for (InstrId id : members[comp])
+            if (isMemory(graph.instr(id).op))
+                banks.push_back(graph.instr(id).memBank);
+        std::sort(banks.begin(), banks.end());
+        banks.erase(std::unique(banks.begin(), banks.end()), banks.end());
+    }
+    std::set<std::vector<int>> probed_classes;
+    std::vector<int> key;
+    auto first_of_class = [&](int comp, int c) {
+        key.assign({static_cast<int>(machine_.clusterFus(c).size()),
+                    machine_.latencyFactor(c)});
+        for (int bank : comp_banks[comp])
+            key.push_back(machine_.memoryPenalty(bank, c));
+        return probed_classes.insert(key).second;
     };
 
-    int best_makespan = evaluate();
     for (int round = 0; round < options_.maxDescentRounds; ++round) {
         bool improved = false;
         for (int comp = 0; comp < num_components; ++comp) {
@@ -312,24 +362,34 @@ PccScheduler::run(const DependenceGraph &graph) const
                 continue;  // pinned by preplacement
             const int original = comp_cluster[comp];
             int best_cluster = original;
+            probed_classes.clear();
             for (int c = 0; c < num_clusters; ++c) {
                 if (c == original || !machine_.clusterAlive(c))
                     continue;
-                comp_cluster[comp] = c;
-                const int makespan = evaluate();
+                if (cluster_size[c] == 0 && !first_of_class(comp, c))
+                    continue;
+                place(comp, c);
+                // Only a strictly smaller makespan is kept, so the
+                // probe may stop once it reaches the best.
+                const int makespan = estimator(assignment, best_makespan);
                 if (makespan < best_makespan) {
                     best_makespan = makespan;
                     best_cluster = c;
                 }
             }
-            comp_cluster[comp] = best_cluster;
-            improved |= best_cluster != original;
+            place(comp, best_cluster);
+            if (best_cluster != original) {
+                const int size = static_cast<int>(members[comp].size());
+                cluster_size[original] -= size;
+                cluster_size[best_cluster] += size;
+                comp_cluster[comp] = best_cluster;
+                improved = true;
+            }
         }
         if (!improved)
             break;
     }
 
-    materialize();
     return {scheduler.run(graph, assignment, priority), {}};
 }
 

@@ -1,6 +1,7 @@
 #include "baseline/rawcc_placer.hh"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "support/logging.hh"
 
@@ -17,7 +18,9 @@ placeClusters(const DependenceGraph &graph, const MachineModel &machine,
                   ") than alive tiles (", machine.numAliveClusters(),
                   ")");
 
-    // Pairwise communication volume between virtual clusters.
+    // Pairwise communication volume between virtual clusters, and
+    // each cluster's neighbours (clusters it shares a data edge with),
+    // ascending.
     std::vector<std::vector<int>> volume(
         num_vclusters, std::vector<int>(num_vclusters, 0));
     for (const auto &edge : graph.edges()) {
@@ -30,6 +33,11 @@ placeClusters(const DependenceGraph &graph, const MachineModel &machine,
             ++volume[b][a];
         }
     }
+    std::vector<std::vector<int>> neighbours(num_vclusters);
+    for (int v = 0; v < num_vclusters; ++v)
+        for (int u = 0; u < num_vclusters; ++u)
+            if (volume[v][u] > 0)
+                neighbours[v].push_back(u);
 
     std::vector<int> tile_of(num_vclusters, -1);
     std::vector<bool> tile_used(num_tiles, false);
@@ -56,7 +64,7 @@ placeClusters(const DependenceGraph &graph, const MachineModel &machine,
             free_clusters.push_back(v);
     auto total_volume = [&](int v) {
         int total = 0;
-        for (int u = 0; u < num_vclusters; ++u)
+        for (int u : neighbours[v])
             total += volume[v][u];
         return total;
     };
@@ -66,11 +74,11 @@ placeClusters(const DependenceGraph &graph, const MachineModel &machine,
                      });
 
     auto placement_cost = [&](int v, int tile) {
-        double cost = 0.0;
-        for (int u = 0; u < num_vclusters; ++u) {
-            if (u == v || tile_of[u] == -1 || volume[v][u] == 0)
+        int64_t cost = 0;
+        for (int u : neighbours[v]) {
+            if (tile_of[u] == -1)
                 continue;
-            cost += volume[v][u] *
+            cost += static_cast<int64_t>(volume[v][u]) *
                     machine.commLatency(tile, tile_of[u]);
         }
         return cost;
@@ -78,11 +86,11 @@ placeClusters(const DependenceGraph &graph, const MachineModel &machine,
 
     for (int v : free_clusters) {
         int best_tile = -1;
-        double best_cost = 0.0;
+        int64_t best_cost = 0;
         for (int tile = 0; tile < num_tiles; ++tile) {
             if (tile_used[tile])
                 continue;
-            const double cost = placement_cost(v, tile);
+            const int64_t cost = placement_cost(v, tile);
             if (best_tile == -1 || cost < best_cost) {
                 best_tile = tile;
                 best_cost = cost;
@@ -93,17 +101,28 @@ placeClusters(const DependenceGraph &graph, const MachineModel &machine,
         tile_used[best_tile] = true;
     }
 
-    // Pairwise swap refinement among free clusters.
-    auto total_cost = [&]() {
-        double cost = 0.0;
-        for (int a = 0; a < num_vclusters; ++a)
-            for (int b = a + 1; b < num_vclusters; ++b)
-                if (volume[a][b] > 0)
-                    cost += volume[a][b] *
-                            machine.commLatency(tile_of[a], tile_of[b]);
+    // Pairwise swap refinement among free clusters.  The total cost
+    // sums volume x commLatency(tile of the lower id, tile of the
+    // higher id) over every pair with volume -- an exact integer --
+    // and a swap of a and b changes only the pairs touching them, so
+    // a swap is kept when those pairs' cost falls.  Each pair keeps
+    // its (lower, higher) order: commLatency can be asymmetric on a
+    // faulted mesh, and the swap moves the pair (a, b) itself too.
+    auto pair_cost = [&](int v, int u) {
+        const int lo = std::min(v, u);
+        const int hi = std::max(v, u);
+        return static_cast<int64_t>(volume[v][u]) *
+               machine.commLatency(tile_of[lo], tile_of[hi]);
+    };
+    auto touching_cost = [&](int a, int b) {
+        int64_t cost = 0;
+        for (int u : neighbours[a])
+            cost += pair_cost(a, u);
+        for (int u : neighbours[b])
+            if (u != a)
+                cost += pair_cost(b, u);
         return cost;
     };
-    double current = total_cost();
     bool improved = true;
     int rounds = 0;
     while (improved && rounds < 8) {
@@ -113,14 +132,12 @@ placeClusters(const DependenceGraph &graph, const MachineModel &machine,
             for (size_t j = i + 1; j < free_clusters.size(); ++j) {
                 const int a = free_clusters[i];
                 const int b = free_clusters[j];
+                const int64_t before = touching_cost(a, b);
                 std::swap(tile_of[a], tile_of[b]);
-                const double swapped = total_cost();
-                if (swapped + 1e-9 < current) {
-                    current = swapped;
+                if (touching_cost(a, b) < before)
                     improved = true;
-                } else {
+                else
                     std::swap(tile_of[a], tile_of[b]);
-                }
             }
         }
     }

@@ -12,8 +12,11 @@ namespace csched {
 std::string
 BenchCell::key() const
 {
-    return workload + "/" + machine + "/" +
-           (kernel.empty() ? algorithm : kernel);
+    std::string key = workload + "/" + machine + "/" +
+                      (kernel.empty() ? algorithm : kernel);
+    if (!kernel.empty() && !algorithm.empty())
+        key += "/" + algorithm;  // a mesh kernel timed per algorithm
+    return key;
 }
 
 std::string
@@ -27,6 +30,7 @@ benchReportToJson(const BenchReport &report)
         w.key("kind").value(report.kind);
         w.key("meta").beginObject();
         w.key("commit").value(report.meta.commit);
+        w.key("gitDescribe").value(report.meta.gitDescribe);
         w.key("buildType").value(report.meta.buildType);
         w.key("compiler").value(report.meta.compiler);
         w.key("flags").value(report.meta.flags);
@@ -116,6 +120,8 @@ parseBenchReport(const std::string &text, std::string *error)
     if (const JsonValue *meta = doc->find("meta")) {
         if (const JsonValue *v = meta->find("commit"))
             report.meta.commit = v->string;
+        if (const JsonValue *v = meta->find("gitDescribe"))
+            report.meta.gitDescribe = v->string;
         if (const JsonValue *v = meta->find("buildType"))
             report.meta.buildType = v->string;
         if (const JsonValue *v = meta->find("compiler"))

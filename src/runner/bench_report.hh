@@ -26,8 +26,8 @@
  *   {
  *     "schema": "csched-bench-report-v1",
  *     "kind": "pass-kernels" | "end-to-end" | "online",
- *     "meta": { "commit", "buildType", "compiler", "flags", "host",
- *               "repeats" },
+ *     "meta": { "commit", "gitDescribe", "buildType", "compiler",
+ *               "flags", "host", "repeats" },
  *     "cells": [ { "workload", "machine", "kernel" | "algorithm",
  *                  "medianSeconds", "minSeconds", "reps",
  *                  e2e only: "instructions", "makespan",
@@ -43,7 +43,9 @@
  * it was before the blocked-layout rewrite (see EXPERIMENTS.md), so
  * the perf trajectory's starting point travels with the report.
  *
- * Cells are identified by (workload, machine, kernel-or-algorithm);
+ * Cells are identified by (workload, machine, kernel-or-algorithm),
+ * plus the algorithm for cells that name both (the "mesh" kind times
+ * its "schedule" kernel once per baseline);
  * compareBenchReports() joins two reports on that key and fails on
  * relative slowdown beyond a threshold, which is the ci.sh perf gate.
  * Serialization uses the deterministic JsonWriter of support/json --
@@ -68,6 +70,9 @@ inline const char *kBenchReportSchema = "csched-bench-report-v1";
 struct BenchMeta
 {
     std::string commit;     ///< git commit the binary was built from
+    /** `git describe --dirty` of that build: ends in -dirty when the
+     *  tree had uncommitted changes. */
+    std::string gitDescribe;
     std::string buildType;  ///< CMAKE_BUILD_TYPE
     std::string compiler;   ///< compiler version string
     std::string flags;      ///< optimisation-relevant compile flags
@@ -94,7 +99,9 @@ struct BenchCell
     /** Median on the pre-rewrite engine, when annotated; else < 0. */
     double preRewriteSeconds = -1.0;
 
-    /** The join key used by compareBenchReports. */
+    /** The join key used by compareBenchReports:
+     *  workload/machine/(kernel or algorithm), plus /algorithm when
+     *  the cell names both. */
     std::string key() const;
 };
 

@@ -20,6 +20,7 @@ sampleReport()
     BenchReport report;
     report.kind = "end-to-end";
     report.meta.commit = "abc1234";
+    report.meta.gitDescribe = "abc1234-dirty";
     report.meta.buildType = "Release";
     report.meta.compiler = "g++ 12";
     report.meta.flags = "-O3";
@@ -48,6 +49,7 @@ TEST(BenchReport, RoundTripsThroughJson)
     ASSERT_TRUE(parsed.has_value()) << error;
     EXPECT_EQ(parsed->kind, "end-to-end");
     EXPECT_EQ(parsed->meta.commit, "abc1234");
+    EXPECT_EQ(parsed->meta.gitDescribe, "abc1234-dirty");
     EXPECT_EQ(parsed->meta.repeats, 5);
     ASSERT_EQ(parsed->cells.size(), 1u);
     const BenchCell &cell = parsed->cells[0];
@@ -66,6 +68,16 @@ TEST(BenchReport, KernelCellsKeyOnKernelName)
     cell.machine = "vliw4";
     cell.kernel = "COMM.2";
     EXPECT_EQ(cell.key(), "mxm/vliw4/COMM.2");
+}
+
+TEST(BenchReport, CellsNamingKernelAndAlgorithmKeyOnBoth)
+{
+    BenchCell cell;
+    cell.workload = "mxm";
+    cell.machine = "raw32x32";
+    cell.kernel = "schedule";
+    cell.algorithm = "rawcc";
+    EXPECT_EQ(cell.key(), "mxm/raw32x32/schedule/rawcc");
 }
 
 TEST(BenchReport, ParserRejectsOtherSchemas)

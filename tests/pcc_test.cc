@@ -12,7 +12,10 @@
 #include "ir/graph_algorithms.hh"
 #include "ir/graph_builder.hh"
 #include "machine/clustered_vliw.hh"
+#include "machine/machine_spec.hh"
+#include "machine/raw_machine.hh"
 #include "sched/schedule_checker.hh"
+#include "schedule_digest.hh"
 #include "workloads/workloads.hh"
 
 namespace csched {
@@ -150,6 +153,63 @@ TEST(Pcc, DescentDoesNotRegressEstimate)
             naive[id] = graph.instr(id).homeCluster;
     EXPECT_LE(pcc.estimate(graph, schedule.assignment()),
               pcc.estimate(graph, naive));
+}
+
+// The descent probes one cluster per class of empty clusters; a
+// class must tell an unpreplaced memory operation's bank home apart
+// from the other empty tiles.  The chain starts on tile 0, and tile 1
+// (one hop from the home of bank 5) is the first empty tile probed.
+TEST(Pcc, DescentFindsTheBankHomeAmongEmptyTiles)
+{
+    GraphBuilder builder;
+    InstrId prev = builder.load(5);
+    prev = builder.op(Opcode::IAdd, {prev});
+    builder.op(Opcode::IAdd, {prev});
+    const auto graph = builder.build();
+    const RawMachine raw(4, 4);
+    const auto schedule = PccScheduler(raw).schedule(graph);
+    for (InstrId id = 0; id < graph.numInstructions(); ++id)
+        EXPECT_EQ(schedule.clusterOf(id), raw.homeOfBank(5));
+}
+
+// ... and a slowed empty tile apart from a full-speed one: the chain
+// starts on slowed tile 0, and the first empty tile probed is slowed
+// too.
+TEST(Pcc, DescentTellsSlowEmptyTilesFromFastOnes)
+{
+    GraphBuilder builder;
+    InstrId prev = builder.op(Opcode::IAdd);
+    for (int k = 0; k < 2; ++k)
+        prev = builder.op(Opcode::IAdd, {prev});
+    const auto graph = builder.build();
+    auto machine = tryParseMachineSpec("raw4x4/faults=slow:0+1,factor:3");
+    ASSERT_TRUE(machine.ok());
+    const auto schedule = PccScheduler(**machine).schedule(graph);
+    for (InstrId id = 0; id < graph.numInstructions(); ++id)
+        EXPECT_EQ((*machine)->latencyFactor(schedule.clusterOf(id)), 1);
+}
+
+// Every placement and comm event of PCC on paper kernels, pinned to
+// digests of the schedules the exhaustive descent produced (every
+// free component probed on every alive cluster, each probe a full
+// estimate).  The meshes leave most clusters empty, so these cells
+// exercise the one-probe-per-class-of-empty-cluster shortcut; the
+// faulted mesh adds dead and slowed tiles, which split the classes.
+// fpppp-kernel on that mesh, where the descent keeps the most moves,
+// runs in the slower tier (PccLargeMesh).
+TEST(Pcc, MeshSchedulesMatchRecordedDigests)
+{
+    const char *const kFaulted = "raw8x8/faults=seed:2,tiles:5%,slow:20%";
+    const RecordedDigest recorded[] = {
+        {"vliw4", "tomcatv", 0x4f8c79a10e5ee91full},
+        {"raw4x4", "fpppp-kernel", 0x1c5a531bbaf4e208ull},
+        {"raw16x16", "mxm", 0xeb2d7f45b6ce5f8bull},
+        {"raw16x16", "tomcatv", 0xc99e7a24f653d812ull},
+        {kFaulted, "mxm", 0x5b66f5bd5542ddedull},
+        {kFaulted, "tomcatv", 0x951707ae259e6814ull},
+    };
+    for (const auto &entry : recorded)
+        expectRecordedDigest("pcc", entry);
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 #include "ir/graph_builder.hh"
 #include "machine/raw_machine.hh"
 #include "sched/schedule_checker.hh"
+#include "schedule_digest.hh"
 #include "workloads/workloads.hh"
 
 namespace csched {
@@ -153,6 +154,32 @@ TEST(RawccPartitioner, SpeedsUpParallelKernel)
     // All four tiles carry work.
     for (int tile = 0; tile < 4; ++tile)
         EXPECT_GT(schedule.clusterLoad(tile), 0);
+}
+
+// Every placement and comm event of Rawcc on paper kernels, pinned to
+// digests of the schedules produced when every tentative merge ran a
+// full estimate and every placement swap re-summed the whole cost.
+// kFaulted has dead and slowed tiles; kDetoured also has dead links,
+// which make commLatency asymmetric, so the placer's swap delta must
+// keep each pair's (lower, higher) order.
+TEST(Rawcc, MeshSchedulesMatchRecordedDigests)
+{
+    const char *const kFaulted = "raw8x8/faults=seed:2,tiles:5%,slow:20%";
+    const char *const kDetoured =
+        "raw4x4/faults=seed:7,tiles:12%,links:5%,slow:12%";
+    const RecordedDigest recorded[] = {
+        {"vliw4", "tomcatv", 0x96febe8c5109a739ull},
+        {"raw4x4", "fpppp-kernel", 0x1fa2c3643a0d85c4ull},
+        {"raw16x16", "mxm", 0x5b30f5a6fca74659ull},
+        {"raw16x16", "tomcatv", 0xa401e1b83dbfd31dull},
+        {kFaulted, "mxm", 0x2c033e113c8d0bc1ull},
+        {kFaulted, "tomcatv", 0xc696b2e35cc6c5c4ull},
+        {kFaulted, "fpppp-kernel", 0xe98577e0fe7391e8ull},
+        {kDetoured, "mxm", 0x2a0158183bb2e166ull},
+        {kDetoured, "fpppp-kernel", 0x22f7cebfc86557f7ull},
+    };
+    for (const auto &entry : recorded)
+        expectRecordedDigest("rawcc", entry);
 }
 
 } // namespace

@@ -12,7 +12,7 @@
 #include "machine/clustered_vliw.hh"
 #include "machine/raw_machine.hh"
 #include "sched/schedule_checker.hh"
-#include "uas_digest.hh"
+#include "schedule_digest.hh"
 #include "workloads/workloads.hh"
 
 namespace csched {
@@ -126,7 +126,7 @@ TEST(Uas, MeshSchedulesMatchRecordedDigests)
         {kFaulted, "fpppp-kernel", 0x9676b7577ac8d980ull},
     };
     for (const auto &entry : recorded)
-        expectRecordedDigest(entry);
+        expectRecordedDigest("uas", entry);
 }
 
 } // namespace

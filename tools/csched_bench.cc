@@ -93,8 +93,9 @@
  *
  * The mesh cells time the degraded-machine hot paths on a 32x32 Raw
  * mesh, fault-free and 10% degraded: machine construction (fault-map
- * materialisation plus detour-table BFS) and a full schedule+check
- * run with the fault-aware router and checker.  The dist cells fork
+ * materialisation plus detour-table BFS) and full schedule+check runs
+ * of the baselines (UAS and Rawcc on mxm, PCC on tomcatv, 16 banks)
+ * with the fault-aware router and checker.  The dist cells fork
  * two localhost csched_workerd daemons and time a small fixed grid
  * through them against the same grid under --isolate, so the
  * remote-dispatch overhead is a gated number, not a guess.
@@ -332,21 +333,10 @@ BenchMeta
 collectMeta(int repeats)
 {
     BenchMeta meta;
-#ifdef CSCHED_GIT_COMMIT
     meta.commit = CSCHED_GIT_COMMIT;
-#else
-    meta.commit = "unknown";
-#endif
-#ifdef CSCHED_BUILD_TYPE
+    meta.gitDescribe = CSCHED_GIT_DESCRIBE;
     meta.buildType = CSCHED_BUILD_TYPE;
-#else
-    meta.buildType = "unknown";
-#endif
-#ifdef CSCHED_CXX_FLAGS
     meta.flags = CSCHED_CXX_FLAGS;
-#else
-    meta.flags = "";
-#endif
     meta.compiler = __VERSION__;
     struct utsname names;
     if (uname(&names) == 0)
@@ -705,17 +695,22 @@ runPerf(const char *argv0, const std::vector<std::string> &args)
     };
 
     // Mesh cells: the degraded-machine hot paths on a 32x32 mesh.
-    // Per machine (fault-free and 10% degraded), two kernels:
-    // "construct" is one tryParseMachineSpec call (fault-map
-    // materialisation plus the per-destination detour-table BFS on
-    // 1024 tiles), "schedule" is one tryRunAndCheck call (the
-    // fault-aware router inside scheduling and the dead-resource
-    // checker rules).  The cell set is fixed so quick and full runs
-    // join against the same baseline keys.
+    // Per machine (fault-free and 10% degraded): "construct" is one
+    // tryParseMachineSpec call (fault-map materialisation plus the
+    // per-destination detour-table BFS on 1024 tiles), and each
+    // "schedule" cell is one tryRunAndCheck call of a baseline on a
+    // kernel (the baseline's own search, the fault-aware router inside
+    // scheduling and the dead-resource checker rules).  The cell set
+    // is fixed so quick and full runs join against the same baseline
+    // keys.
     auto measureMesh = [&](std::vector<BenchCell> &out) {
-        const std::string mesh_workload = "mxm";
-        const WorkloadSpec *workload = tryFindWorkload(mesh_workload);
-        const auto uas = parseAlgorithmSpec("uas");
+        struct ScheduleCell
+        {
+            const char *algorithm;
+            const char *workload;
+        };
+        const ScheduleCell schedule_cells[] = {
+            {"uas", "mxm"}, {"pcc", "tomcatv"}, {"rawcc", "mxm"}};
         for (const std::string machine_spec :
              {"raw32x32", "raw32x32/faults=seed:1,tiles:10%,links:3%"}) {
             std::unique_ptr<MachineModel> machine;
@@ -733,39 +728,46 @@ runPerf(const char *argv0, const std::vector<std::string> &args)
             construct.machine = machine_spec;
             construct.kernel = "construct";
             out.push_back(construct);
-
-            const auto algorithm = makeAlgorithm(*uas, *machine);
-            // Fixed bank count: mxm's size scales with banks, and the
-            // cell measures routing on 1024 tiles, not a 65k-instr
-            // graph.  Preplacement still spreads over the whole mesh.
-            DependenceGraph graph =
-                workload->build(16, machine->numClusters());
-            remapPreplacedForMachine(graph, *machine);
-            int makespan = 0;
-            BenchCell schedule = timeReps(repeats, [&] {
-                const auto begin = Clock::now();
-                const auto run =
-                    tryRunAndCheck(*algorithm, graph, *machine);
-                const double seconds = secondsSince(begin);
-                if (!run.ok())
-                    throw StatusError(run.status().withContext(
-                        "mesh cell " + mesh_workload + "/" +
-                        machine_spec));
-                makespan = run->makespan;
-                return std::vector<double>{seconds};
-            })[0];
-            schedule.workload = mesh_workload;
-            schedule.machine = machine_spec;
-            schedule.kernel = "schedule";
-            schedule.algorithm = "uas";
-            schedule.instructions = graph.numInstructions();
-            schedule.makespan = makespan;
-            out.push_back(schedule);
             std::cerr << "perf: mesh " << machine_spec << " construct "
                       << formatDouble(construct.medianSeconds * 1e3, 2)
-                      << " ms, schedule "
-                      << formatDouble(schedule.medianSeconds * 1e3, 2)
-                      << " ms over " << repeats << " reps\n";
+                      << " ms";
+
+            for (const ScheduleCell &cell : schedule_cells) {
+                const auto algorithm = makeAlgorithm(
+                    *parseAlgorithmSpec(cell.algorithm), *machine);
+                // Fixed bank count: kernel sizes scale with banks, and
+                // the cell measures 1024 tiles, not a 65k-instr graph.
+                // Preplacement still spreads over the whole mesh.
+                DependenceGraph graph =
+                    tryFindWorkload(cell.workload)
+                        ->build(16, machine->numClusters());
+                remapPreplacedForMachine(graph, *machine);
+                int makespan = 0;
+                BenchCell schedule = timeReps(repeats, [&] {
+                    const auto begin = Clock::now();
+                    const auto run =
+                        tryRunAndCheck(*algorithm, graph, *machine);
+                    const double seconds = secondsSince(begin);
+                    if (!run.ok())
+                        throw StatusError(run.status().withContext(
+                            std::string("mesh cell ") + cell.workload +
+                            "/" + machine_spec + "/" + cell.algorithm));
+                    makespan = run->makespan;
+                    return std::vector<double>{seconds};
+                })[0];
+                schedule.workload = cell.workload;
+                schedule.machine = machine_spec;
+                schedule.kernel = "schedule";
+                schedule.algorithm = cell.algorithm;
+                schedule.instructions = graph.numInstructions();
+                schedule.makespan = makespan;
+                out.push_back(schedule);
+                std::cerr << ", " << cell.algorithm << " "
+                          << cell.workload << " "
+                          << formatDouble(schedule.medianSeconds * 1e3, 2)
+                          << " ms";
+            }
+            std::cerr << " over " << repeats << " reps\n";
         }
     };
 

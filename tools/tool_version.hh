@@ -2,11 +2,13 @@
  * @file
  * Shared `--version` implementation for every csched binary: one JSON
  * object on stdout with the build's provenance -- git describe and
- * commit, build type, and compiler flags -- injected by
- * tools/CMakeLists.txt as compile definitions.  One schema for all
- * four tools so drivers (and the CI smoke legs) can assert on it
- * uniformly; "unknown" fallbacks keep builds outside a git checkout
- * working.
+ * commit, build type, and compiler flags.  The git stamp comes from
+ * csched_git_version.hh, which tools/git_version.cmake regenerates on
+ * every build; build type and flags are compile definitions from
+ * tools/CMakeLists.txt.  One schema for all four tools so drivers (and
+ * the CI smoke legs) can assert on it uniformly; "unknown" fallbacks
+ * keep builds outside a git checkout, or without the generated header
+ * (the standalone perfbench build), working.
  */
 
 #ifndef CSCHED_TOOLS_TOOL_VERSION_HH
@@ -17,12 +19,9 @@
 
 #include "support/json.hh"
 
-namespace csched {
-
-/** Print the one-object version report for @p tool and return 0. */
-inline int
-printToolVersion(const char *tool)
-{
+#if __has_include("csched_git_version.hh")
+#include "csched_git_version.hh"
+#endif
 #ifndef CSCHED_GIT_DESCRIBE
 #define CSCHED_GIT_DESCRIBE "unknown"
 #endif
@@ -35,6 +34,13 @@ printToolVersion(const char *tool)
 #ifndef CSCHED_CXX_FLAGS
 #define CSCHED_CXX_FLAGS ""
 #endif
+
+namespace csched {
+
+/** Print the one-object version report for @p tool and return 0. */
+inline int
+printToolVersion(const char *tool)
+{
     std::ostringstream out;
     {
         JsonWriter w(out);
