@@ -36,12 +36,19 @@ DependenceGraph::addEdge(InstrId src, InstrId dst, DepKind kind)
     checkId(dst);
     CSCHED_ASSERT(src != dst, "self edge on instruction ", src);
     // Coalesce duplicates: a Data edge subsumes Anti/Output ordering.
-    for (auto &edge : edges_) {
-        if (edge.src == src && edge.dst == dst) {
-            if (kind == DepKind::Data)
-                edge.kind = DepKind::Data;
-            return;
+    // preds_[dst] lists the sources of dst's in-edges, so the check
+    // costs O(in-degree of dst).  An upgrade finds the edge from the
+    // back of edges_: a repeated operand's edge is among the last few.
+    const auto &preds = preds_[dst];
+    if (std::find(preds.begin(), preds.end(), src) != preds.end()) {
+        if (kind == DepKind::Data) {
+            const auto edge = std::find_if(
+                edges_.rbegin(), edges_.rend(), [&](const DepEdge &e) {
+                    return e.src == src && e.dst == dst;
+                });
+            edge->kind = DepKind::Data;
         }
+        return;
     }
     edges_.push_back({src, dst, kind});
     succs_[src].push_back(dst);
@@ -91,7 +98,6 @@ DependenceGraph::finalize()
     computeTopoOrder();
     computeLevels();
     computeCriticalPath();
-    computePreplacedDistances();
     finalized_ = true;
 }
 
@@ -99,7 +105,6 @@ void
 DependenceGraph::remapPreplacedHomes(const std::vector<int> &remap)
 {
     CSCHED_ASSERT(finalized_, "remapPreplacedHomes() before finalize()");
-    bool changed = false;
     for (auto &instr : instrs_) {
         if (instr.homeCluster == kNoCluster)
             continue;
@@ -108,14 +113,8 @@ DependenceGraph::remapPreplacedHomes(const std::vector<int> &remap)
                               static_cast<int>(remap.size()),
                       "home cluster ", instr.homeCluster,
                       " outside the remap table");
-        const int target = remap[instr.homeCluster];
-        if (target != instr.homeCluster) {
-            instr.homeCluster = target;
-            changed = true;
-        }
+        instr.homeCluster = remap[instr.homeCluster];
     }
-    if (changed)
-        computePreplacedDistances();
 }
 
 void
@@ -221,44 +220,6 @@ DependenceGraph::computeCriticalPath()
     }
 }
 
-void
-DependenceGraph::computePreplacedDistances()
-{
-    maxHomeCluster_ = -1;
-    for (const auto &instr : instrs_)
-        maxHomeCluster_ = std::max(maxHomeCluster_, instr.homeCluster);
-    distToPreplaced_.assign(maxHomeCluster_ + 1, {});
-
-    const int n = numInstructions();
-    for (int cluster = 0; cluster <= maxHomeCluster_; ++cluster) {
-        auto &dist = distToPreplaced_[cluster];
-        dist.assign(n, -1);
-        // Multi-source BFS over the undirected dependence graph from
-        // every preplaced instruction homed on this cluster.
-        std::deque<InstrId> frontier;
-        for (const auto &instr : instrs_) {
-            if (instr.homeCluster == cluster) {
-                dist[instr.id] = 0;
-                frontier.push_back(instr.id);
-            }
-        }
-        while (!frontier.empty()) {
-            const InstrId id = frontier.front();
-            frontier.pop_front();
-            auto visit = [&](InstrId other) {
-                if (dist[other] == -1) {
-                    dist[other] = dist[id] + 1;
-                    frontier.push_back(other);
-                }
-            };
-            for (InstrId pred : preds_[id])
-                visit(pred);
-            for (InstrId succ : succs_[id])
-                visit(succ);
-        }
-    }
-}
-
 int
 DependenceGraph::earliestStart(InstrId id) const
 {
@@ -347,16 +308,6 @@ DependenceGraph::numPreplaced() const
         if (instr.preplaced())
             ++count;
     return count;
-}
-
-int
-DependenceGraph::distanceToPreplaced(InstrId id, int cluster) const
-{
-    CSCHED_ASSERT(finalized_, "analysis query before finalize()");
-    checkId(id);
-    if (cluster < 0 || cluster > maxHomeCluster_)
-        return -1;
-    return distToPreplaced_[cluster][id];
 }
 
 } // namespace csched

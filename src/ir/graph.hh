@@ -55,21 +55,29 @@ class DependenceGraph
     /** Append an instruction; returns its dense id. */
     InstrId addInstruction(Instruction instr);
 
-    /** Add a dependence edge; duplicate edges are coalesced. */
+    /**
+     * Add a dependence edge; duplicate edges are coalesced in place (a
+     * Data edge subsumes Anti/Output ordering).  Costs O(in-degree of
+     * @p dst), so a build is linear in the edges while in-degrees stay
+     * bounded; a Data edge that upgrades a duplicate also scans
+     * edges() back from the end to it.
+     */
     void addEdge(InstrId src, InstrId dst, DepKind kind = DepKind::Data);
 
-    /** Compute all analyses; must be called exactly once after building. */
+    /**
+     * Compute all analyses (topological order, levels, slack, CPL and
+     * the critical path: O(N + E)); must be called exactly once after
+     * building.
+     */
     void finalize();
 
     bool finalized() const { return finalized_; }
 
     /**
-     * Rewrite every preplaced home h to @p remap[h] and recompute the
-     * preplacement analyses.  The one permitted post-finalize
-     * mutation: it re-homes a graph built for a pristine machine onto
-     * the alive clusters of a degraded one (the latency-weighted
-     * analyses do not depend on homes, so only the preplacement index
-     * is recomputed).
+     * Rewrite every preplaced home h to @p remap[h].  The one permitted
+     * post-finalize mutation: it re-homes a graph built for a pristine
+     * machine onto the alive clusters of a degraded one.  No analysis
+     * depends on homes, so nothing is recomputed.
      */
     void remapPreplacedHomes(const std::vector<int> &remap);
 
@@ -151,20 +159,11 @@ class DependenceGraph
     /** Number of preplaced instructions. */
     int numPreplaced() const;
 
-    /**
-     * Undirected graph distance (in edges) from @p id to the nearest
-     * preplaced instruction homed on @p cluster; returns -1 when no
-     * such instruction exists.  Used by PLACEPROP.  Computed lazily at
-     * finalize() time for all clusters that appear as homes.
-     */
-    int distanceToPreplaced(InstrId id, int cluster) const;
-
   private:
     void checkId(InstrId id) const;
     void computeTopoOrder();
     void computeLevels();
     void computeCriticalPath();
-    void computePreplacedDistances();
 
     LatencyModel latencies_;
     std::vector<Instruction> instrs_;
@@ -181,10 +180,6 @@ class DependenceGraph
     int cpl_ = 0;
     std::vector<InstrId> criticalPath_;
     std::vector<bool> onCp_;
-
-    /** distToPreplaced_[cluster][instr]; -1 where unreachable. */
-    std::vector<std::vector<int>> distToPreplaced_;
-    int maxHomeCluster_ = -1;
 };
 
 } // namespace csched

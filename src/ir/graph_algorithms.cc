@@ -1,7 +1,5 @@
 #include "ir/graph_algorithms.hh"
 
-#include <deque>
-
 #include "support/logging.hh"
 
 namespace csched {
@@ -26,51 +24,6 @@ totalWork(const DependenceGraph &graph)
     for (int id = 0; id < graph.numInstructions(); ++id)
         total += graph.latency(id);
     return total;
-}
-
-int
-undirectedDistance(const DependenceGraph &graph, InstrId from, InstrId to,
-                   int cap)
-{
-    std::vector<bool> targets(graph.numInstructions(), false);
-    targets[to] = true;
-    return distanceToSet(graph, from, targets, cap);
-}
-
-int
-distanceToSet(const DependenceGraph &graph, InstrId from,
-              const std::vector<bool> &targets, int cap)
-{
-    CSCHED_ASSERT(static_cast<int>(targets.size()) ==
-                      graph.numInstructions(),
-                  "target bitmap size mismatch");
-    if (targets[from])
-        return 0;
-    std::vector<int> dist(graph.numInstructions(), -1);
-    dist[from] = 0;
-    std::deque<InstrId> frontier{from};
-    while (!frontier.empty()) {
-        const InstrId id = frontier.front();
-        frontier.pop_front();
-        if (dist[id] >= cap)
-            continue;
-        auto visit = [&](InstrId other) -> bool {
-            if (dist[other] != -1)
-                return false;
-            dist[other] = dist[id] + 1;
-            if (targets[other])
-                return true;
-            frontier.push_back(other);
-            return false;
-        };
-        for (InstrId pred : graph.preds(id))
-            if (visit(pred))
-                return dist[pred];
-        for (InstrId succ : graph.succs(id))
-            if (visit(succ))
-                return dist[succ];
-    }
-    return -1;
 }
 
 GraphShape

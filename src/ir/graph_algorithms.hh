@@ -24,21 +24,6 @@ void preplaceMemoryByBank(DependenceGraph &graph, int num_clusters);
 /** Sum of all instruction latencies: the serial-schedule upper bound. */
 int totalWork(const DependenceGraph &graph);
 
-/**
- * Undirected BFS distance in edges between two instructions; -1 when
- * disconnected.  @p cap bounds the search depth (pass a large value
- * for exact distances).
- */
-int undirectedDistance(const DependenceGraph &graph, InstrId from,
-                       InstrId to, int cap = 1 << 20);
-
-/**
- * Undirected BFS distance from @p from to the nearest member of
- * @p targets (given as a bitmap); -1 when unreachable.
- */
-int distanceToSet(const DependenceGraph &graph, InstrId from,
-                  const std::vector<bool> &targets, int cap = 1 << 20);
-
 /** Shape statistics for a graph, used by the Figure-2 bench. */
 struct GraphShape
 {

@@ -56,43 +56,6 @@ TEST(TotalWork, SumsLatencies)
     EXPECT_EQ(totalWork(graph), 7);
 }
 
-TEST(UndirectedDistance, TraversesBothDirections)
-{
-    GraphBuilder builder;
-    const InstrId a = builder.op(Opcode::Const);
-    const InstrId b = builder.op(Opcode::IAdd, {a});
-    const InstrId c = builder.op(Opcode::IAdd, {a});
-    const InstrId d = builder.op(Opcode::IAdd, {b});
-    const auto graph = builder.build();
-    EXPECT_EQ(undirectedDistance(graph, a, a), 0);
-    EXPECT_EQ(undirectedDistance(graph, b, c), 2);  // via a
-    EXPECT_EQ(undirectedDistance(graph, d, c), 3);  // d-b-a-c
-}
-
-TEST(UndirectedDistance, DisconnectedReturnsMinusOne)
-{
-    GraphBuilder builder;
-    const InstrId a = builder.op(Opcode::Const);
-    const InstrId b = builder.op(Opcode::Const);
-    const auto graph = builder.build();
-    EXPECT_EQ(undirectedDistance(graph, a, b), -1);
-}
-
-TEST(DistanceToSet, NearestTargetWins)
-{
-    GraphBuilder builder;
-    const InstrId a = builder.op(Opcode::Const);
-    const InstrId b = builder.op(Opcode::IAdd, {a});
-    const InstrId c = builder.op(Opcode::IAdd, {b});
-    const InstrId d = builder.op(Opcode::IAdd, {c});
-    const auto graph = builder.build();
-    std::vector<bool> targets(graph.numInstructions(), false);
-    targets[a] = true;
-    targets[d] = true;
-    EXPECT_EQ(distanceToSet(graph, c, targets), 1);  // d is closer
-    EXPECT_EQ(distanceToSet(graph, b, targets), 1);  // a is closer
-}
-
 TEST(AnalyzeShape, ReportsBasicQuantities)
 {
     GraphBuilder builder;

@@ -60,14 +60,43 @@ TEST(Graph, RootsAndLeaves)
 TEST(Graph, DuplicateEdgesCoalesce)
 {
     DependenceGraph graph;
-    for (int k = 0; k < 2; ++k)
+    for (int k = 0; k < 5; ++k)
         graph.addInstruction(ins(Opcode::IAdd));
     graph.addEdge(0, 1, DepKind::Anti);
-    graph.addEdge(0, 1, DepKind::Data);  // upgrades the edge
-    graph.addEdge(0, 1, DepKind::Output);
-    ASSERT_EQ(graph.edges().size(), 1u);
-    EXPECT_EQ(graph.edges()[0].kind, DepKind::Data);
-    EXPECT_EQ(graph.preds(1).size(), 1u);
+    graph.addEdge(0, 2, DepKind::Output);
+    graph.addEdge(3, 1, DepKind::Data);
+    graph.addEdge(0, 4, DepKind::Anti);
+    graph.addEdge(2, 4, DepKind::Data);
+    // Duplicates, interleaved with new edges from other sources.
+    graph.addEdge(0, 2, DepKind::Data);    // upgrades 0->2 in place
+    graph.addEdge(3, 4, DepKind::Anti);
+    graph.addEdge(0, 1, DepKind::Output);  // ordering stays Anti
+    graph.addEdge(0, 2, DepKind::Anti);    // Data stays Data
+    graph.addEdge(3, 1, DepKind::Output);  // Data stays Data
+    graph.addEdge(0, 4, DepKind::Data);    // upgrades 0's last out-edge
+    graph.addEdge(2, 4, DepKind::Anti);    // Data stays Data
+    graph.addEdge(0, 4, DepKind::Output);  // the upgraded edge stays Data
+    graph.finalize();
+
+    // One edge per (src, dst), each at its first insertion's position.
+    const std::vector<DepEdge> expected = {
+        {0, 1, DepKind::Anti}, {0, 2, DepKind::Data},
+        {3, 1, DepKind::Data}, {0, 4, DepKind::Data},
+        {2, 4, DepKind::Data}, {3, 4, DepKind::Anti},
+    };
+    ASSERT_EQ(graph.edges().size(), expected.size());
+    for (size_t k = 0; k < expected.size(); ++k) {
+        EXPECT_EQ(graph.edges()[k].src, expected[k].src) << "edge " << k;
+        EXPECT_EQ(graph.edges()[k].dst, expected[k].dst) << "edge " << k;
+        EXPECT_EQ(graph.edges()[k].kind, expected[k].kind) << "edge " << k;
+    }
+    // Adjacency lists hold each neighbour once, in insertion order.
+    EXPECT_EQ(graph.succs(0), (std::vector<InstrId>{1, 2, 4}));
+    EXPECT_EQ(graph.succs(2), (std::vector<InstrId>{4}));
+    EXPECT_EQ(graph.succs(3), (std::vector<InstrId>{1, 4}));
+    EXPECT_EQ(graph.preds(1), (std::vector<InstrId>{0, 3}));
+    EXPECT_EQ(graph.preds(2), (std::vector<InstrId>{0}));
+    EXPECT_EQ(graph.preds(4), (std::vector<InstrId>{0, 2, 3}));
 }
 
 TEST(Graph, TopologicalOrderRespectsEdges)
@@ -145,45 +174,6 @@ TEST(Graph, SlackOfEveryInstructionBoundedByCpl)
         EXPECT_LE(graph.earliestStart(id) + graph.latestFinishSlack(id),
                   graph.criticalPathLength());
     }
-}
-
-TEST(Graph, PreplacedDistances)
-{
-    DependenceGraph graph;
-    Instruction load;
-    load.op = Opcode::Load;
-    load.memBank = 0;
-    load.homeCluster = 2;
-    graph.addInstruction(load);  // id 0, preplaced on cluster 2
-    graph.addInstruction(ins(Opcode::IAdd));  // id 1
-    graph.addInstruction(ins(Opcode::IAdd));  // id 2
-    graph.addEdge(0, 1);
-    graph.addEdge(1, 2);
-    graph.finalize();
-
-    EXPECT_EQ(graph.numPreplaced(), 1);
-    EXPECT_EQ(graph.distanceToPreplaced(0, 2), 0);
-    EXPECT_EQ(graph.distanceToPreplaced(1, 2), 1);
-    EXPECT_EQ(graph.distanceToPreplaced(2, 2), 2);
-    // No preplaced instruction on cluster 0.
-    EXPECT_EQ(graph.distanceToPreplaced(1, 0), -1);
-    // Unknown cluster.
-    EXPECT_EQ(graph.distanceToPreplaced(1, 7), -1);
-}
-
-TEST(Graph, PreplacedDistanceIsUndirected)
-{
-    DependenceGraph graph;
-    graph.addInstruction(ins(Opcode::IAdd));  // id 0
-    Instruction store;
-    store.op = Opcode::Store;
-    store.memBank = 1;
-    store.homeCluster = 1;
-    graph.addInstruction(store);  // id 1
-    graph.addEdge(0, 1);  // 0 feeds the preplaced store
-    graph.finalize();
-    // Distance travels against the edge direction too.
-    EXPECT_EQ(graph.distanceToPreplaced(0, 1), 1);
 }
 
 TEST(GraphDeathTest, CycleDetected)

@@ -4,7 +4,8 @@
  * build a paper kernel the way the mesh benchmarks do (16 banks,
  * preplacement re-homed for the machine), schedule it with a named
  * algorithm, and fold every placement and every communication event
- * into one 64-bit hash.
+ * into one 64-bit hash.  The hash itself (Fnv1a) also pins the edge
+ * lists of graph_digest_test.cc.
  */
 
 #ifndef CSCHED_TESTS_SCHEDULE_DIGEST_HH
@@ -22,17 +23,25 @@
 
 namespace csched {
 
-/** 64-bit FNV-1a over every field of @p schedule, in a fixed order. */
-inline uint64_t
-scheduleDigest(const Schedule &schedule)
+/** 64-bit FNV-1a over a sequence of integers, each folded as 8 bytes. */
+struct Fnv1a
 {
     uint64_t hash = 14695981039346656037ull;
-    auto mix = [&](int64_t value) {
+
+    void operator()(int64_t value)
+    {
         for (int byte = 0; byte < 8; ++byte) {
             hash ^= static_cast<uint64_t>(value >> (8 * byte)) & 0xff;
             hash *= 1099511628211ull;
         }
-    };
+    }
+};
+
+/** 64-bit FNV-1a over every field of @p schedule, in a fixed order. */
+inline uint64_t
+scheduleDigest(const Schedule &schedule)
+{
+    Fnv1a mix;
     mix(schedule.numInstructions());
     for (InstrId id = 0; id < schedule.numInstructions(); ++id) {
         const Placement &p = schedule.at(id);
@@ -55,7 +64,7 @@ scheduleDigest(const Schedule &schedule)
             mix(cycle);
         }
     }
-    return hash;
+    return mix.hash;
 }
 
 /** One recorded schedule: a kernel on a machine spec, and its digest. */

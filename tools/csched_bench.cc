@@ -89,7 +89,10 @@
  *
  * Every perf cell is timed the same way: one untimed warm-up run, then
  * --repeats timed runs, reported as their median and min.  Fixtures
- * (graph build, arrival generation, daemon start-up) are never timed.
+ * (graph build, arrival generation, daemon start-up) are never timed,
+ * except that the end-to-end kind also has two "build" cells, which
+ * time whole graph builds (synth-huge-100k on vliw4, mxm on raw32x32,
+ * banks = clusters as in a suite run), so the build's cost is gated.
  *
  * The mesh cells time the degraded-machine hot paths on a 32x32 Raw
  * mesh, fault-free and 10% degraded: machine construction (fault-map
@@ -617,6 +620,38 @@ runPerf(const char *argv0, const std::vector<std::string> &args)
             timed.algorithm = cell.algorithm;
             timed.instructions = graph.numInstructions();
             timed.makespan = makespan;
+            out.push_back(timed);
+            logCell(timed, "");
+        }
+        // Build cells: like the mesh kind's construct cells, the set is
+        // fixed so quick and full runs join against the same baseline
+        // keys.
+        struct BuildCell
+        {
+            const char *workload;
+            const char *machine;
+        };
+        const BuildCell build_cells[] = {{"synth-huge-100k", "vliw4"},
+                                         {"mxm", "raw32x32"}};
+        for (const BuildCell &cell : build_cells) {
+            std::string error;
+            const auto machine = parseMachineSpec(cell.machine, &error);
+            if (machine == nullptr)
+                usage(argv0, error);
+            const int banks = machine->numClusters();
+            const WorkloadSpec &workload = findWorkload(cell.workload);
+            int instructions = 0;
+            BenchCell timed = timeReps(repeats, [&] {
+                const auto begin = Clock::now();
+                const DependenceGraph graph = workload.build(banks, banks);
+                const double seconds = secondsSince(begin);
+                instructions = graph.numInstructions();
+                return std::vector<double>{seconds};
+            })[0];
+            timed.workload = cell.workload;
+            timed.machine = cell.machine;
+            timed.kernel = "build";
+            timed.instructions = instructions;
             out.push_back(timed);
             logCell(timed, "");
         }
