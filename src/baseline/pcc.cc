@@ -15,6 +15,9 @@ namespace csched {
 
 namespace {
 
+/** Maximum full passes of iterative descent. */
+constexpr int kMaxDescentRounds = 8;
+
 /**
  * The estimator behind PccScheduler::estimate, with what does not
  * change between estimates of one graph computed once: the alive-pair
@@ -149,18 +152,10 @@ PccScheduler::estimate(const DependenceGraph &graph,
 int
 PccScheduler::effectiveCap(int n) const
 {
-    if (options_.componentCap > 0)
-        return options_.componentCap;
     return std::max(4, n / (4 * machine_.numClusters()));
 }
 
-PccScheduler::PccScheduler(const MachineModel &machine)
-    : PccScheduler(machine, Options())
-{
-}
-
-PccScheduler::PccScheduler(const MachineModel &machine, Options options)
-    : machine_(machine), options_(options)
+PccScheduler::PccScheduler(const MachineModel &machine) : machine_(machine)
 {
 }
 
@@ -352,7 +347,7 @@ PccScheduler::run(const DependenceGraph &graph) const
         return probed_classes.insert(key).second;
     };
 
-    for (int round = 0; round < options_.maxDescentRounds; ++round) {
+    for (int round = 0; round < kMaxDescentRounds; ++round) {
         bool improved = false;
         for (int comp = 0; comp < num_components; ++comp) {
             // The descent is the superlinear part of PCC (Figure 10),

@@ -34,19 +34,6 @@ namespace csched {
 class PccScheduler : public SchedulingAlgorithm
 {
   public:
-    /** Tunables (the TR leaves the exact threshold policy open). */
-    struct Options
-    {
-        /**
-         * Maximum instructions per component; 0 selects
-         * max(4, n / (4 * clusters)) automatically.
-         */
-        int componentCap = 0;
-
-        /** Maximum full passes of iterative descent. */
-        int maxDescentRounds = 8;
-    };
-
     /**
      * The schedule-length estimator that guides the iterative
      * descent, as Desoli's TR uses an estimation algorithm rather
@@ -61,7 +48,6 @@ class PccScheduler : public SchedulingAlgorithm
                  const std::vector<int> &assignment) const;
 
     explicit PccScheduler(const MachineModel &machine);
-    PccScheduler(const MachineModel &machine, Options options);
 
     std::string name() const override { return "PCC"; }
     ScheduleResult run(const DependenceGraph &graph) const override;
@@ -72,12 +58,11 @@ class PccScheduler : public SchedulingAlgorithm
      */
     std::vector<int> buildComponents(const DependenceGraph &graph) const;
 
-    /** The effective component cap for a graph of @p n instructions. */
+    /** Component cap for @p n instructions: max(4, n / (4 * clusters)). */
     int effectiveCap(int n) const;
 
   private:
     const MachineModel &machine_;
-    Options options_;
 };
 
 } // namespace csched

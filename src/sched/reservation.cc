@@ -21,14 +21,6 @@ bitmapTake(std::vector<bool> &bitmap, int cycle)
     bitmap[cycle] = true;
 }
 
-void
-bitmapRelease(std::vector<bool> &bitmap, int cycle)
-{
-    CSCHED_ASSERT(cycle < static_cast<int>(bitmap.size()) && bitmap[cycle],
-                  "releasing free slot ", cycle);
-    bitmap[cycle] = false;
-}
-
 } // namespace
 
 FuReservation::FuReservation(const MachineModel &machine)
@@ -49,12 +41,6 @@ void
 FuReservation::take(int cluster, int fu, int cycle)
 {
     bitmapTake(busy_[cluster][fu], cycle);
-}
-
-void
-FuReservation::release(int cluster, int fu, int cycle)
-{
-    bitmapRelease(busy_[cluster][fu], cycle);
 }
 
 int
@@ -93,12 +79,6 @@ void
 LinkReservation::take(int link, int cycle)
 {
     bitmapTake(busy_[link], cycle);
-}
-
-void
-LinkReservation::release(int link, int cycle)
-{
-    bitmapRelease(busy_[link], cycle);
 }
 
 int

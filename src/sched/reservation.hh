@@ -4,8 +4,8 @@
  *
  * FuReservation tracks per-(cluster, FU) issue slots; LinkReservation
  * tracks per-(link, cycle) occupancy of the Raw static network.  Both
- * grow on demand and support speculative queries so schedulers can
- * search for the earliest feasible slot before committing.
+ * grow on demand and only ever take slots; the const queries find the
+ * earliest free slot for a scheduler to take.
  */
 
 #ifndef CSCHED_SCHED_RESERVATION_HH
@@ -30,9 +30,6 @@ class FuReservation
 
     /** Mark FU @p fu of @p cluster busy at @p cycle (must be free). */
     void take(int cluster, int fu, int cycle);
-
-    /** Undo a take() (used by UAS's transactional cluster trials). */
-    void release(int cluster, int fu, int cycle);
 
     /**
      * Index of a FU on @p cluster that can issue @p op and is free at
@@ -62,9 +59,6 @@ class LinkReservation
 
     bool free(int link, int cycle) const;
     void take(int link, int cycle);
-
-    /** Undo a take() (used by UAS's transactional cluster trials). */
-    void release(int link, int cycle);
 
     /**
      * Earliest send cycle >= @p from at which link @p route[k] is free

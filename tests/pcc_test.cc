@@ -24,10 +24,9 @@ namespace {
 TEST(Pcc, ComponentsCoverEveryInstructionWithinCap)
 {
     const ClusteredVliwMachine vliw(4);
-    PccScheduler::Options options;
-    options.componentCap = 5;
-    const PccScheduler pcc(vliw, options);
+    const PccScheduler pcc(vliw);
     const auto graph = findWorkload("mxm").build(4, 4);
+    const int cap = pcc.effectiveCap(graph.numInstructions());
     const auto component = pcc.buildComponents(graph);
     ASSERT_EQ(component.size(),
               static_cast<size_t>(graph.numInstructions()));
@@ -37,7 +36,7 @@ TEST(Pcc, ComponentsCoverEveryInstructionWithinCap)
         sizes[comp] += 1;
     }
     for (const auto &[comp, size] : sizes)
-        EXPECT_LE(size, 5) << "component " << comp;
+        EXPECT_LE(size, cap) << "component " << comp;
 }
 
 TEST(Pcc, ComponentsNeverMixPreplacementHomes)

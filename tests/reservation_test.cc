@@ -23,15 +23,6 @@ TEST(FuReservation, TakeAndFree)
     EXPECT_TRUE(fus.free(1, 0, 5));
 }
 
-TEST(FuReservation, Release)
-{
-    const ClusteredVliwMachine vliw(1);
-    FuReservation fus(vliw);
-    fus.take(0, 2, 3);
-    fus.release(0, 2, 3);
-    EXPECT_TRUE(fus.free(0, 2, 3));
-}
-
 TEST(FuReservation, FreeFuForRespectsCapability)
 {
     const ClusteredVliwMachine vliw(1);
@@ -87,14 +78,6 @@ TEST(LinkReservation, StaggeredRoutesInterleave)
     EXPECT_EQ(links.earliestRouteSlot(route, 0), 1);
     links.takeRoute(route, 1);
     EXPECT_EQ(links.earliestRouteSlot(route, 0), 2);
-}
-
-TEST(LinkReservation, Release)
-{
-    LinkReservation links(1);
-    links.take(0, 7);
-    links.release(0, 7);
-    EXPECT_TRUE(links.free(0, 7));
 }
 
 } // namespace

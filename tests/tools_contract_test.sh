@@ -105,12 +105,19 @@ else
     failures=$((failures + 1))
 fi
 
+# ---- Pass sequences: only the --algorithm suffix names them ---------
+
+expect 0 "cli --algorithm with a pass suffix" \
+    "$cli" --workload fir --algorithm convergent:INITTIME,PLACE,COMM
+
 # ---- Usage errors: exit 2 -------------------------------------------
 
 expect 2 "bench unknown workload" \
     "$bench" suite --workloads nonesuch --quiet
 expect 2 "cli unknown workload" \
     "$cli" --workload nonesuch
+expect 2 "cli --sequence is an unknown flag" \
+    "$cli" --workload fir --sequence INITTIME
 expect 2 "bench --resume without --journal" \
     "$bench" suite --workloads fir --resume --quiet
 expect 2 "cli --resume without --journal" \

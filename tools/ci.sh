@@ -38,10 +38,7 @@ build() {
     local build_dir="$1"
     shift
     echo "=== configure ${build_dir} ($*)"
-    # Deprecation windows are one release long; erroring on deprecated
-    # declarations here keeps expired shims from creeping back.
-    cmake -B "${build_dir}" -S . \
-        -DCSCHED_WERROR_DEPRECATED=ON "$@" >/dev/null
+    cmake -B "${build_dir}" -S . "$@" >/dev/null
     echo "=== build ${build_dir}"
     cmake --build "${build_dir}" -j >/dev/null
 }

@@ -12,8 +12,6 @@
  *                         bug, optionally with a pass sequence as in
  *                         "convergent:INITTIME,PLACE,COMM" (default
  *                         convergent)
- *     --sequence PASSES   custom convergent pass list (equivalent to
- *                         the --algorithm suffix form)
  *     --json FILE         write the structured run report ("-" =
  *                         stdout)
  *     --jobs N            worker threads for the --json report path
@@ -99,7 +97,7 @@ usage(const char *argv0, const std::string &why = "")
     std::cerr << "usage: " << argv0
               << " [--workload NAME] [--machine vliwN|rawN|rawRxC]"
               << " [--algorithm SPEC]\n"
-              << "  [--sequence PASSES] [--json FILE] [--jobs N]"
+              << "  [--json FILE] [--jobs N]"
               << " [--gantt] [--placements]\n"
               << "  [--trace] [--dot FILE] [--pressure] [--speedup]\n"
               << "  [--deadline-ms N] [--retries N] [--isolate]"
@@ -120,7 +118,6 @@ main(int argc, char **argv)
     std::string workload = "tomcatv";
     std::string machine_spec = "vliw4";
     std::string algorithm_arg = "convergent";
-    std::string sequence;
     std::string dot_file;
     GridFlags flags;
     flags.grid.jobs = 1;
@@ -155,8 +152,6 @@ main(int argc, char **argv)
             machine_spec = next();
         } else if (arg == "--algorithm") {
             algorithm_arg = next();
-        } else if (arg == "--sequence") {
-            sequence = next();
         } else if (arg == "--online") {
             online = true;
         } else if (arg == "--streams") {
@@ -277,20 +272,10 @@ main(int argc, char **argv)
     if (machine == nullptr)
         usage(argv[0], error);
 
-    auto parsed = parseAlgorithmSpec(algorithm_arg, &error);
+    const auto parsed = parseAlgorithmSpec(algorithm_arg, &error);
     if (!parsed.has_value())
         usage(argv[0], error);
-    AlgorithmSpec algorithm_spec = *parsed;
-    if (!sequence.empty()) {
-        if (!algorithm_spec.sequence.empty())
-            usage(argv[0], "--sequence conflicts with the --algorithm "
-                           "pass suffix");
-        algorithm_spec.sequence = sequence;
-        parsed = parseAlgorithmSpec(algorithm_spec.text(), &error);
-        if (!parsed.has_value())
-            usage(argv[0], error);
-        algorithm_spec = *parsed;
-    }
+    const AlgorithmSpec &algorithm_spec = *parsed;
 
     const WorkloadSpec *found = tryFindWorkload(workload);
     if (found == nullptr)
