@@ -34,7 +34,7 @@ main(int argc, char **argv)
               << graph.numPreplaced() << " preplaced by bank)\n\n";
 
     const ConvergentAlgorithm conv(machine);
-    const auto result = conv.runDetailed(graph);
+    const auto result = conv.run(graph);
     const auto &schedule = result.schedule;
 
     // Tile occupancy map.

@@ -9,6 +9,7 @@
 #include "convergent/sequences.hh"
 #include "sched/list_scheduler.hh"
 #include "sched/priorities.hh"
+#include "support/cancel.hh"
 #include "support/fault_injection.hh"
 #include "support/logging.hh"
 
@@ -72,19 +73,6 @@ checkWeightInvariants(const PreferenceMatrix &weights,
     return Status();
 }
 
-Status
-checkWeightInvariants(const PreferenceMatrix &weights,
-                      std::span<const InstrId> rows,
-                      const std::string &pass)
-{
-    for (const InstrId i : rows) {
-        Status status = checkRowInvariants(weights, i, pass);
-        if (!status.ok())
-            return status;
-    }
-    return Status();
-}
-
 ConvergentScheduler::ConvergentScheduler(const MachineModel &machine,
                                          const std::string &sequence,
                                          PassParams params)
@@ -123,66 +111,67 @@ ConvergentScheduler::schedule(const DependenceGraph &graph) const
     CSCHED_ASSERT(graph.finalized(), "graph must be finalized");
     const int n = graph.numInstructions();
 
-    PreferenceMatrix weights(n, graph.criticalPathLength(),
-                             machine_.numClusters());
     // On a degraded machine, mask dead clusters out of every row up
     // front (zero + renormalize): passes then redistribute preference
     // mass among alive clusters only, and INITTIME's capability
     // masking keeps the columns zero for the rest of the pipeline.
     // Every row is still pristine, so this rewrites only the template.
-    if (machine_.degraded()) {
-        std::vector<int> dead;
-        for (int c = 0; c < machine_.numClusters(); ++c)
-            if (!machine_.clusterAlive(c))
-                dead.push_back(c);
-        weights.maskPristineClusters(dead);
-    }
+    const auto fresh_matrix = [&] {
+        PreferenceMatrix matrix(n, graph.criticalPathLength(),
+                                machine_.numClusters());
+        if (machine_.degraded()) {
+            std::vector<int> dead;
+            for (int c = 0; c < machine_.numClusters(); ++c)
+                if (!machine_.clusterAlive(c))
+                    dead.push_back(c);
+            matrix.maskPristineClusters(dead);
+        }
+        return matrix;
+    };
+    PreferenceMatrix weights = fresh_matrix();
     Rng rng(params_.noiseSeed);
     PassContext ctx{graph, machine_, weights, params_, rng};
+
+    // Guard the Section-3 invariants after a pass.  The guard trusts
+    // every verified row (pristine, or last written by an in-range
+    // normalize) and walks the rest.  A pass that scaled without
+    // normalizing is healed by one renormalization; anything
+    // normalization cannot restore (non-finite weights) throws.
+    const auto guard = [&weights](const Pass &pass) {
+        if (checkWeightInvariants(weights, pass.name()).ok())
+            return;
+        weights.normalizeAll();
+        const Status recheck = checkWeightInvariants(weights, pass.name());
+        if (!recheck.ok())
+            throw StatusError(recheck);
+    };
 
     ConvergentResult result{std::vector<int>(n), std::vector<int>(n),
                             Schedule(n, machine_.numClusters()),
                             {}};
 
     std::vector<int> before = weights.preferredClusters();
-    for (const auto &pass : passes_) {
+    std::vector<bool> skipped(passes_.size(), false);
+    for (size_t k = 0; k < passes_.size(); ++k) {
+        Pass &pass = *passes_[k];
         checkpoint("pass.apply");
         // Pass-level graceful degradation (the paper's Section-4
         // claim that the composition tolerates individual passes
-        // misbehaving): log the rows the pass touches, and if the pass
-        // throws or leaves invariants that one renormalization cannot
-        // heal, roll those rows back and continue without the pass --
-        // the step is marked "skipped" in the trace.  Cooperative
+        // misbehaving): if the pass throws or leaves invariants that
+        // one renormalization cannot heal, continue without it -- the
+        // step is marked "skipped" in the trace.  Cooperative
         // cancellation (deadline, shutdown) must still unwind: a
         // skipped pass is a degraded schedule, a missed deadline is
         // not.
-        weights.beginUndo();
         const auto begin = std::chrono::steady_clock::now();
         std::optional<std::chrono::steady_clock::time_point> end;
         std::string skip_reason;
         try {
-            pass->run(ctx);
+            pass.run(ctx);
             end = std::chrono::steady_clock::now();
             // Deterministic stand-in for a throwing pass (tests).
             faultPoint("pass.body");
-            // Guard the Section-3 invariants after every pass.  Rows
-            // the pass did not touch still hold the invariants they
-            // were last checked with, so the touched rows are the
-            // whole check, and a touched row whose last write was a
-            // verified normalize() costs a flag test.  A pass that
-            // scaled without normalizing is healed by one
-            // renormalization (which logs every row it rescales);
-            // anything normalization cannot restore (non-finite
-            // weights) gets the pass rolled back.
-            if (!checkWeightInvariants(weights, weights.touchedRows(),
-                                       pass->name())
-                     .ok()) {
-                weights.normalizeAll();
-                const Status recheck = checkWeightInvariants(
-                    weights, weights.touchedRows(), pass->name());
-                if (!recheck.ok())
-                    throw StatusError(recheck);
-            }
+            guard(pass);
         } catch (const StatusError &error) {
             if (error.status.code() == ErrorCode::Timeout ||
                 error.status.code() == ErrorCode::Interrupted)
@@ -194,15 +183,29 @@ ConvergentScheduler::schedule(const DependenceGraph &graph) const
         if (!end.has_value())
             end = std::chrono::steady_clock::now();
         if (!skip_reason.empty()) {
-            weights.rollback();
-            CSCHED_WARN("pass '", pass->name(),
-                        "' skipped (matrix rolled back): ",
+            CSCHED_WARN("pass '", pass.name(),
+                        "' skipped (matrix rebuilt without it): ",
                         skip_reason);
+            // Rebuild the matrix as the sequence without this pass (and
+            // without any pass skipped earlier) leaves it: fresh weights
+            // and noise stream, then the passes before it replayed.
+            // Passes are deterministic, so a replay that fails is a bug
+            // and fails the run; it hits no fault point.
+            skipped[k] = true;
+            weights = fresh_matrix();
+            rng = Rng(params_.noiseSeed);
+            for (size_t j = 0; j < k; ++j) {
+                if (skipped[j])
+                    continue;
+                pollCancellation("pass.apply");
+                passes_[j]->run(ctx);
+                guard(*passes_[j]);
+            }
         }
-        // A row no pass touched cannot change its preferred cluster;
-        // after a rollback no row counts as touched.
+        // normalize() caches a row's preferred cluster, so counting
+        // over every row reads a cache, bar rows reset to uniform.
         int changed = 0;
-        for (const InstrId i : weights.touchedRows()) {
+        for (InstrId i = 0; i < n; ++i) {
             const int after = weights.preferredCluster(i);
             if (after != before[i]) {
                 before[i] = after;
@@ -210,10 +213,10 @@ ConvergentScheduler::schedule(const DependenceGraph &graph) const
             }
         }
         result.trace.push_back(
-            {pass->name(), static_cast<double>(changed) / n,
-             pass->temporalOnly(),
+            {pass.name(), static_cast<double>(changed) / n,
+             pass.temporalOnly(),
              std::chrono::duration<double>(*end - begin).count(),
-             !skip_reason.empty()});
+             skipped[k]});
     }
 
     // Extract the assignment: preferred cluster, with preplaced

@@ -14,7 +14,6 @@
 #define CSCHED_CONVERGENT_CONVERGENT_SCHEDULER_HH
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -31,24 +30,14 @@ class PreferenceMatrix;
  * Verify the paper's Section-3 matrix invariants over the whole
  * matrix: every weight finite and in [0, 1], every instruction row
  * summing to 1.  Returns a CheckFailed Status naming @p pass on the
- * first violation.
+ * first violation.  A row PreferenceMatrix::verified() vouches for is
+ * trusted; every other row is walked.  The scheduler calls this after
+ * every pass.  On violation it renormalizes once (the legitimate fix
+ * for a pass that scaled without normalizing) and checks again; if
+ * the invariants still do not hold (non-finite weights, which
+ * normalization cannot heal), the pass is skipped.
  */
 Status checkWeightInvariants(const PreferenceMatrix &weights,
-                             const std::string &pass);
-
-/**
- * The same check over @p rows only.  Both overloads trust a row that
- * PreferenceMatrix::verified() vouches for and walk every other row.
- * The scheduler calls this after
- * every pass with the rows the pass touched (the matrix's undo log):
- * an untouched row keeps the invariants it was last checked with.  On
- * violation it renormalizes once (the legitimate fix for a pass that
- * scaled without normalizing), checks the touched rows again, and
- * rolls the pass back only if the invariants still do not hold
- * (non-finite weights, which normalization cannot heal).
- */
-Status checkWeightInvariants(const PreferenceMatrix &weights,
-                             std::span<const InstrId> rows,
                              const std::string &pass);
 
 /** Everything a convergent-scheduling run produces. */
@@ -83,7 +72,13 @@ class ConvergentScheduler
      */
     static ConvergentScheduler forMachine(const MachineModel &machine);
 
-    /** Run the pipeline and produce the final space-time schedule. */
+    /**
+     * Run the pipeline and produce the final space-time schedule.  A
+     * pass that throws or breaks the weight invariants beyond healing
+     * is skipped: the matrix and the noise stream are rebuilt by
+     * replaying the passes before it on a fresh matrix, so the run
+     * equals the sequence without it.
+     */
     ConvergentResult schedule(const DependenceGraph &graph) const;
 
     /** Pass names in pipeline order. */

@@ -137,7 +137,6 @@ PreferenceMatrix::PreferenceMatrix(int num_instrs, int num_times,
     preferred_.assign(num_instrs, 0);
     clean_.assign(num_instrs, kDirty);
     pristine_.assign(num_instrs, 1);
-    logged_.assign(num_instrs, 0);
 }
 
 void
@@ -195,78 +194,6 @@ PreferenceMatrix::materialize(InstrId i)
 {
     std::copy(template_.begin(), template_.end(), rowData(i));
     pristine_[i] = 0;
-}
-
-void
-PreferenceMatrix::logPreImage(InstrId i)
-{
-    // Weights first, then the record, then the flag: a throwing
-    // allocation leaves no record pointing at missing weights.
-    const size_t offset = undoData_.size();
-    if (!pristine_[i]) {
-        for (int c = 0; c < numClusters_; ++c) {
-            const double *b = block(i, c);
-            undoData_.insert(undoData_.end(), b + winLo_[i], b + winHi_[i]);
-        }
-    }
-    undo_.push_back({winLo_[i], winHi_[i], clean_[i], pristine_[i], offset});
-    touched_.push_back(i);
-    logged_[i] = 1;
-}
-
-void
-PreferenceMatrix::beginUndo()
-{
-    for (const InstrId i : touched_)
-        logged_[i] = 0;
-    touched_.clear();
-    undo_.clear();
-    undoData_.clear();
-    // A scope logs each row at most once, and never more than its
-    // window, so the arena's size bounds the log.  Reserving it up
-    // front avoids the reallocation copies (and their transient
-    // double footprint) of a log grown by doubling; pages the log
-    // never writes are never committed.
-    undoData_.reserve(arena_.size());
-    undoOpen_ = true;
-}
-
-void
-PreferenceMatrix::rollback()
-{
-    for (size_t k = 0; k < touched_.size(); ++k) {
-        const InstrId i = touched_[k];
-        const UndoRecord &saved = undo_[k];
-        // The current window may be wider than the saved one (set and
-        // blend widen): clear it, so every slot outside the restored
-        // window is +0.0 again -- and a row going back to pristine is
-        // all +0.0 again.
-        if (!pristine_[i]) {
-            for (int c = 0; c < numClusters_; ++c) {
-                double *b = writeBlock(i, c);
-                std::fill(b + winLo_[i], b + winHi_[i], 0.0);
-            }
-        }
-        if (!saved.pristine) {
-            const double *from = undoData_.data() + saved.offset;
-            const int width = saved.hi - saved.lo;
-            for (int c = 0; c < numClusters_; ++c) {
-                std::copy(from, from + width, writeBlock(i, c) + saved.lo);
-                from += width;
-            }
-        }
-        winLo_[i] = saved.lo;
-        winHi_[i] = saved.hi;
-        // The restored bytes are clean if they were, but the guard
-        // walks them again before it trusts them.
-        clean_[i] = std::min(saved.clean, kClean);
-        pristine_[i] = saved.pristine;
-        spaceValid_[i] = 0;
-        logged_[i] = 0;
-    }
-    touched_.clear();
-    undo_.clear();
-    undoData_.clear();
 }
 
 void
@@ -381,7 +308,6 @@ void
 PreferenceMatrix::rowRestrictTimeWindow(InstrId i, int lo, int hi)
 {
     checkInstr(i);
-    logTouch(i);
     lo = std::max(lo, 0);
     hi = std::min(hi, numTimes_);
     const int new_lo = std::max(winLo_[i], lo);

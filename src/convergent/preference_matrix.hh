@@ -74,8 +74,9 @@
  * A row that passes is *verified*: the scheduler's post-pass guard
  * trusts the verdict, computed on exactly these bytes, and walks only
  * rows that are unverified -- written after their last normalize,
- * reset to uniform, rolled back, or failing the test.  Every mutating
- * kernel clears the verdict.
+ * reset to uniform, or failing the test.  A pristine row counts as
+ * verified: it reads the template, which is in range by construction.
+ * Every mutating kernel clears the verdict.
  *
  * Mutation goes through RowView, a cursor that validates the row
  * index once and then applies batched kernels with no
@@ -89,16 +90,10 @@
  * t-major), so the rewrite is bit-identical by construction, not just
  * approximately equal.
  *
- * Undo log.  beginUndo() opens a scope in which every mutating kernel
- * saves its row's pre-image the first time it touches the row: the
- * window bounds, the window's weights per cluster, and the clean
- * flag.  (normalize() on a row that is already clean writes nothing
- * and logs nothing.)  A pristine row is logged as a flag only, so the
- * first pass over a fresh matrix copies no weights, and rolling it
- * back clears its window and makes it pristine again.  rollback()
- * restores exactly the logged rows, and touchedRows() names them, so
- * the scheduler's pass guard, rollback and convergence count cost
- * what the pass touched rather than the whole matrix.
+ * Failed passes.  The matrix keeps no undo state: when a pass fails,
+ * ConvergentScheduler::schedule builds a fresh matrix and replays the
+ * passes that ran before it, so nothing on the success path pays for
+ * the failure path.
  */
 
 #ifndef CSCHED_CONVERGENT_PREFERENCE_MATRIX_HH
@@ -214,13 +209,17 @@ class PreferenceMatrix
     void maskPristineClusters(std::span<const int> clusters);
 
     /**
-     * True while row @p i holds exactly the bytes a normalize() sweep
-     * found within the Section-3 invariants (see the file comment):
-     * every weight in [-kWeightSlack, 1 + kWeightSlack] and the
-     * cluster sums adding to 1 within kSumSlack.  False says nothing
-     * either way; the row has to be walked.
+     * True while row @p i is pristine or holds exactly the bytes a
+     * normalize() sweep found within the Section-3 invariants (see the
+     * file comment): every weight in [-kWeightSlack, 1 + kWeightSlack]
+     * and the cluster sums adding to 1 within kSumSlack.  False says
+     * nothing either way; the row has to be walked.
      */
-    bool verified(InstrId i) const { return clean_[i] == kVerified; }
+    bool
+    verified(InstrId i) const
+    {
+        return pristine_[i] || clean_[i] == kVerified;
+    }
 
     /** Sum over time of W[i][.][c]. */
     double spaceMarginal(InstrId i, int c) const;
@@ -252,21 +251,6 @@ class PreferenceMatrix
 
     /** Preferred time of every instruction. */
     std::vector<int> preferredTimes() const;
-
-    /**
-     * Open a new undo scope: drop the previous scope's log, then log
-     * each row's pre-image the first time a mutation touches it.
-     */
-    void beginUndo();
-
-    /**
-     * Restore every row touched since beginUndo() -- weights, window
-     * and clean flag -- and empty the log.  The scope stays open.
-     */
-    void rollback();
-
-    /** Rows touched since beginUndo(), each once, in first-touch order. */
-    const std::vector<InstrId> &touchedRows() const { return touched_; }
 
   private:
     friend class RowView;
@@ -315,24 +299,13 @@ class PreferenceMatrix
     /** A mutation touched row @p i: cache stale, row not normalized. */
     void markMutated(InstrId i);
 
-    /** Log row @p i's pre-image on its first touch in an open scope. */
-    void
-    logTouch(InstrId i)
-    {
-        if (undoOpen_ && !logged_[i])
-            logPreImage(i);
-    }
-    void logPreImage(InstrId i);
-
     /**
-     * Every mutating kernel calls this before it writes row @p i: logs
-     * the pre-image, then gives a pristine row its own copy of the
-     * template.
+     * Every mutating kernel calls this before it writes row @p i: gives
+     * a pristine row its own copy of the template.
      */
     void
     willMutate(InstrId i)
     {
-        logTouch(i);
         if (pristine_[i])
             materialize(i);
     }
@@ -390,22 +363,6 @@ class PreferenceMatrix
 
     /** Per row: 1 while the row reads the template, never written. */
     std::vector<uint8_t> pristine_;
-
-    /** One logged pre-image; its weights sit in undoData_ at offset. */
-    struct UndoRecord
-    {
-        int lo;
-        int hi;
-        uint8_t clean;
-        uint8_t pristine; ///< no weights stored: clear, read the template
-        size_t offset;
-    };
-
-    bool undoOpen_ = false;
-    std::vector<uint8_t> logged_;  ///< per row: pre-image in the log
-    std::vector<InstrId> touched_; ///< logged rows, first-touch order
-    std::vector<UndoRecord> undo_; ///< parallel to touched_
-    std::vector<double> undoData_; ///< logged windows, cluster by cluster
 };
 
 /**

@@ -38,12 +38,6 @@ ConvergentAlgorithm::run(const DependenceGraph &graph) const
     return {std::move(full.schedule), std::move(full.trace)};
 }
 
-ConvergentResult
-ConvergentAlgorithm::runDetailed(const DependenceGraph &graph) const
-{
-    return scheduler_.schedule(graph);
-}
-
 std::string
 AlgorithmSpec::text() const
 {

@@ -43,9 +43,6 @@ class ConvergentAlgorithm : public SchedulingAlgorithm
     /** Full result: schedule plus the convergence/timing trace. */
     ScheduleResult run(const DependenceGraph &graph) const override;
 
-    /** Assignment/preferred-time detail beyond ScheduleResult. */
-    ConvergentResult runDetailed(const DependenceGraph &graph) const;
-
   private:
     ConvergentScheduler scheduler_;
 };

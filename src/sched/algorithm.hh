@@ -39,14 +39,15 @@ struct PassStep
     bool temporalOnly = false;
     /**
      * Wall-clock seconds spent inside the pass body; the invariant
-     * guard, any rollback and the convergence count are not charged.
+     * guard, any rebuild after a skipped pass and the convergence
+     * count are not charged.
      */
     double seconds = 0.0;
     /**
      * True when the pass misbehaved (threw, or broke the weight
-     * invariants beyond healing) and was rolled back: its effect on
-     * the preference matrix was discarded and the pipeline continued
-     * without it (see ConvergentScheduler::schedule).
+     * invariants beyond healing) and was skipped: the preference
+     * matrix was rebuilt without it and the pipeline continued (see
+     * ConvergentScheduler::schedule).
      */
     bool skipped = false;
 };

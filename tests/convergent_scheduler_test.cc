@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -234,10 +235,14 @@ class HalfMutatingThrowingPass : public Pass
     }
 };
 
-/** Same schedule and trace, bar the skipped step @p skipped. */
+/**
+ * Same schedule and trace, bar the skipped steps @p skipped (ascending
+ * positions in @p rolled_back's trace).
+ */
 void
 expectSameAsWithout(const ConvergentResult &rolled_back,
-                    const ConvergentResult &without, size_t skipped,
+                    const ConvergentResult &without,
+                    const std::vector<size_t> &skipped,
                     const std::string &what)
 {
     EXPECT_EQ(rolled_back.assignment, without.assignment) << what;
@@ -245,15 +250,20 @@ expectSameAsWithout(const ConvergentResult &rolled_back,
     EXPECT_EQ(rolled_back.schedule.makespan(),
               without.schedule.makespan())
         << what;
-    ASSERT_EQ(rolled_back.trace.size(), without.trace.size() + 1) << what;
+    ASSERT_EQ(rolled_back.trace.size(),
+              without.trace.size() + skipped.size())
+        << what;
+    size_t same_k = 0;
     for (size_t k = 0; k < rolled_back.trace.size(); ++k) {
         const PassStep &step = rolled_back.trace[k];
-        EXPECT_EQ(step.skipped, k == skipped) << what << ", step " << k;
-        if (k == skipped) {
+        const bool skip =
+            std::find(skipped.begin(), skipped.end(), k) != skipped.end();
+        EXPECT_EQ(step.skipped, skip) << what << ", step " << k;
+        if (skip) {
             EXPECT_EQ(step.fractionChanged, 0.0) << what;
             continue;
         }
-        const PassStep &same = without.trace[k < skipped ? k : k - 1];
+        const PassStep &same = without.trace[same_k++];
         EXPECT_EQ(step.pass, same.pass) << what << ", step " << k;
         EXPECT_EQ(step.fractionChanged, same.fractionChanged)
             << what << ", step " << k;
@@ -277,7 +287,7 @@ TEST(ConvergentScheduler, ThrowingPassRollsBackToTheScheduleWithoutIt)
     const auto rolled_back = faulty.schedule(graph);
     ASSERT_EQ(rolled_back.trace[position].pass, "HALFTHROW");
     const auto without = ConvergentScheduler::forMachine(vliw).schedule(graph);
-    expectSameAsWithout(rolled_back, without, position, "HALFTHROW");
+    expectSameAsWithout(rolled_back, without, {position}, "HALFTHROW");
 }
 
 /**
@@ -351,8 +361,10 @@ TEST(ConvergentScheduler, ScaleAfterTheLastNormalizeIsWalkedAndHealed)
 
 TEST(ConvergentScheduler, FailingAnyPassEqualsTheSequenceWithoutIt)
 {
-    // pass.body fires after the pass ran, so every position rolls back
-    // a pass that really mutated the matrix.
+    // pass.body fires after the pass ran, so every position discards
+    // a pass that really mutated the matrix.  The double NOISE pins
+    // the noise stream: a failed NOISE must not shift the draws of
+    // the NOISE after it.
     const ClusteredVliwMachine vliw(4);
     const auto raw = RawMachine::withTiles(4);
     struct Family
@@ -364,6 +376,9 @@ TEST(ConvergentScheduler, FailingAnyPassEqualsTheSequenceWithoutIt)
     const Family families[] = {
         {vliw, vliwPassSequence(), vliwPassParams()},
         {raw, rawPassSequence(), rawPassParams()},
+        {vliw,
+         "INITTIME,NOISE,NOISE,FIRST,PATH,COMM,PLACE,PLACEPROP,COMM,EMPHCP",
+         vliwPassParams()},
     };
     for (const Family &family : families) {
         const auto graph = smallKernel(4);
@@ -391,9 +406,33 @@ TEST(ConvergentScheduler, FailingAnyPassEqualsTheSequenceWithoutIt)
                 ConvergentScheduler(family.machine, family.sequence,
                                     family.params)
                     .schedule(graph);
-            expectSameAsWithout(rolled_back, without, k, what);
+            expectSameAsWithout(rolled_back, without, {k}, what);
         }
     }
+}
+
+TEST(ConvergentScheduler, TwoFailuresInOneRunEqualTheSequenceWithoutBoth)
+{
+    // The second failure rebuilds without the first one too, and a
+    // rebuild hits no pass.body: the 3rd and 5th hits are FIRST and
+    // the first COMM.
+    const ClusteredVliwMachine vliw(4);
+    const auto graph = smallKernel(4);
+    const auto without =
+        ConvergentScheduler(vliw, "INITTIME,NOISE,PATH,PLACE,PLACEPROP,"
+                                  "COMM,EMPHCP",
+                            vliwPassParams())
+            .schedule(graph);
+
+    std::string error;
+    const auto plan = FaultPlan::parse(
+        "pass.body=fail:nth=3;pass.body=fail:nth=5", &error);
+    ASSERT_TRUE(plan.has_value()) << error;
+    FaultScope faults(&*plan, "two-failures");
+    ScopedFaultScope fault_guard(&faults);
+    const auto rebuilt =
+        ConvergentScheduler::forMachine(vliw).schedule(graph);
+    expectSameAsWithout(rebuilt, without, {2, 4}, "FIRST and COMM");
 }
 
 TEST(ConvergentScheduler, SkippedPassLeavesNoTraceByDefault)
@@ -442,6 +481,10 @@ TEST(WeightInvariants, AcceptAFreshAndANormalizedMatrix)
     row.scaleCluster(0, 0.25);
     row.normalize();
     EXPECT_TRUE(checkWeightInvariants(weights, "PLACE").ok());
+    // A row no kernel wrote reads the in-range template: the guard
+    // trusts it without a walk.
+    EXPECT_TRUE(weights.verified(0));
+    EXPECT_TRUE(weights.verified(2));
 }
 
 TEST(WeightInvariants, ScalingWithoutNormalizingIsCaughtAndHealable)

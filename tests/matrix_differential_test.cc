@@ -13,7 +13,7 @@
  * repeated normalize() calls that exercise the shared clean-skip
  * predicate -- and cross-check all derived observables (marginals,
  * preferred slots, runner-up, confidence) after every step.  The
- * rollback scripts also leave rows unnormalized between ops, so
+ * dirty-row scripts also leave rows unnormalized between ops, so
  * several kernels meet one dirty row with reads in between.
  */
 
@@ -273,17 +273,12 @@ TEST(MatrixDifferential, RandomScriptsAreBitIdentical)
 }
 
 /**
- * The same scripts with undo scopes: the blocked engine's rollback
- * must land where a copy of the dense engine taken at beginUndo()
- * stands.  Every row starts pristine and the first scope opens at
- * once, so rollbacks return rows to the pristine template, and the
- * ops after them -- a window restriction in particular, which writes
- * only the narrowed window of a pristine row -- start from it again.
- * The script skips the normalize on about a third of the steps, so
- * later ops (and undo scopes) meet rows that one or more kernels left
- * unnormalized.
+ * The same scripts, skipping the normalize on about a third of the
+ * steps, so later ops meet rows that one or more kernels left
+ * unnormalized -- a pristine row included, whose first kernel copies
+ * the template in.
  */
-TEST(MatrixDifferential, RandomScriptsWithRollbacksAreBitIdentical)
+TEST(MatrixDifferential, RandomScriptsWithDirtyRowsAreBitIdentical)
 {
     Rng script(8484);
     for (int round = 0; round < 12; ++round) {
@@ -294,26 +289,11 @@ TEST(MatrixDifferential, RandomScriptsWithRollbacksAreBitIdentical)
         Engines e{PreferenceMatrix(n, times, clusters),
                   DenseReferenceMatrix(n, times, clusters), Rng(noise_seed),
                   Rng(noise_seed)};
-        e.blocked.beginUndo();
-        DenseReferenceMatrix dense_saved = e.dense;
 
         for (int step = 0; step < 60; ++step) {
             const InstrId i = script.range(n);
-            const int op = script.range(13);
-            if (op == 10) {
-                e.blocked.beginUndo();
-                dense_saved = e.dense;
-            } else if (op >= 11) {
-                e.blocked.rollback();
-                e.dense = dense_saved;
-                ASSERT_NO_FATAL_FAILURE(expectIdentical(e.blocked, e.dense))
-                    << "round " << round << " step " << step
-                    << " rollback";
-                if (op == 12)
-                    applyOp(e, script, i, 6);  // restrict, maybe pristine
-            } else {
-                applyOp(e, script, i, op);
-            }
+            const int op = script.range(10);
+            applyOp(e, script, i, op);
             // Before the normalize too: a row the kernels left dirty
             // must read the same as a full recomputation.
             ASSERT_NO_FATAL_FAILURE(expectRowIdentical(e.blocked, e.dense, i))

@@ -3,8 +3,8 @@
  * Unit and property tests for the preference matrix: the paper's
  * invariants, marginals, preferred slots, confidence, and the basic
  * operations of Section 3, exercised through the batched RowView API,
- * plus the row-level undo log behind pass rollback, the pristine
- * template, and the guard verdict normalize() records.
+ * plus the pristine template and the guard verdict normalize()
+ * records.
  */
 
 #include <gtest/gtest.h>
@@ -349,7 +349,7 @@ TEST(PreferenceMatrix, CopyIsIndependent)
     EXPECT_EQ(copy.at(0, 0, 0), 0.0);
 }
 
-// ---- undo log --------------------------------------------------------
+// ---- bitwise state comparison ----------------------------------------
 
 uint64_t
 bits(double value)
@@ -381,152 +381,6 @@ expectSameState(const PreferenceMatrix &got, const PreferenceMatrix &want,
                       bits(want.spaceMarginal(i, c)))
                 << what << ", row " << i << ", cluster " << c;
     }
-}
-
-/**
- * Four rows in the states a pass can meet: 0 as constructed, 1
- * narrowed and normalized (clean), 2 scaled but not normalized, 3
- * narrowed, normalized, then scaled.
- */
-PreferenceMatrix
-undoFixture()
-{
-    PreferenceMatrix w(4, 8, 3);
-    w.row(1).restrictTimeWindow(2, 6);
-    w.row(1).scaleCluster(2, 3.0);
-    w.row(1).normalize();
-    w.row(2).scaleTime(5, 4.0);
-    w.row(3).restrictTimeWindow(1, 4);
-    w.row(3).normalize();
-    w.row(3).scaleCluster(0, 0.5);
-    return w;
-}
-
-struct Mutator
-{
-    const char *name;
-    void (*apply)(PreferenceMatrix &w, InstrId i);
-};
-
-const Mutator kMutators[] = {
-    {"set (widening)",
-     [](PreferenceMatrix &w, InstrId i) { w.row(i).set(7, 1, 0.5); }},
-    {"scaleSlot",
-     [](PreferenceMatrix &w, InstrId i) { w.row(i).scaleSlot(3, 0, 7.0); }},
-    {"scaleCluster",
-     [](PreferenceMatrix &w, InstrId i) {
-         w.row(i).scaleCluster(1, 9.0);
-     }},
-    {"scaleClusters",
-     [](PreferenceMatrix &w, InstrId i) {
-         const double factors[3] = {0.5, 2.0, 0.0};
-         w.row(i).scaleClusters(factors);
-     }},
-    {"scaleTime",
-     [](PreferenceMatrix &w, InstrId i) { w.row(i).scaleTime(2, 5.0); }},
-    {"zeroCluster",
-     [](PreferenceMatrix &w, InstrId i) { w.row(i).zeroCluster(0); }},
-    {"restrictTimeWindow",
-     [](PreferenceMatrix &w, InstrId i) {
-         w.row(i).restrictTimeWindow(3, 5);
-     }},
-    {"addPositiveNoise",
-     [](PreferenceMatrix &w, InstrId i) {
-         Rng rng(5);
-         w.row(i).addPositiveNoise(rng, 0.3);
-     }},
-    {"blendFrom (widening)",
-     [](PreferenceMatrix &w, InstrId i) {
-         w.row(i).blendFrom(w.row((i + 1) % 4), 0.25);
-     }},
-    {"normalize",
-     [](PreferenceMatrix &w, InstrId i) { w.row(i).normalize(); }},
-    {"all-zero reset to uniform",
-     [](PreferenceMatrix &w, InstrId i) {
-         w.row(i).restrictTimeWindow(4, 4);
-         w.row(i).normalize();
-     }},
-    {"mutated twice",
-     [](PreferenceMatrix &w, InstrId i) {
-         w.row(i).scaleCluster(2, 4.0);
-         w.row(i).normalize();
-         w.row(i).scaleTime(6, 3.0);
-         w.row(i).normalize();
-     }},
-};
-
-TEST(PreferenceMatrixUndo, RollbackRestoresEveryMutatorExactly)
-{
-    const PreferenceMatrix base = undoFixture();
-    for (const Mutator &mutator : kMutators) {
-        for (InstrId i = 0; i < base.numInstructions(); ++i) {
-            const std::string what =
-                std::string(mutator.name) + " on row " + std::to_string(i);
-            PreferenceMatrix w = base;
-            w.beginUndo();
-            mutator.apply(w, i);
-            // Fill the marginal caches with the mutated state, so a
-            // rollback that forgot to invalidate them would show.
-            for (InstrId k = 0; k < w.numInstructions(); ++k) {
-                (void)w.preferredCluster(k);
-                (void)w.preferredTime(k);
-            }
-            // Only the mutated row is logged, and only once; normalize
-            // of the already-clean row 1 writes and logs nothing.
-            const bool clean_noop =
-                i == 1 && std::string(mutator.name) == "normalize";
-            EXPECT_EQ(w.touchedRows(),
-                      clean_noop ? std::vector<InstrId>{}
-                                 : std::vector<InstrId>{i})
-                << what;
-            w.rollback();
-            EXPECT_TRUE(w.touchedRows().empty()) << what;
-            expectSameState(w, base, what);
-
-            // The clean flag came back too: the next normalize logs
-            // (and rescales) exactly when it would have before.
-            PreferenceMatrix reference = base;
-            reference.beginUndo();
-            reference.row(i).normalize();
-            w.beginUndo();
-            w.row(i).normalize();
-            EXPECT_EQ(w.touchedRows(), reference.touchedRows()) << what;
-            expectSameState(w, reference, what + ", then normalize");
-        }
-    }
-}
-
-TEST(PreferenceMatrixUndo, RollbackRestoresManyRowsAndKeepsTheRest)
-{
-    const PreferenceMatrix base = undoFixture();
-    PreferenceMatrix w = base;
-    w.beginUndo();
-    w.row(2).scaleCluster(0, 3.0);
-    w.row(0).restrictTimeWindow(1, 2);
-    w.row(2).normalize();
-    EXPECT_EQ(w.touchedRows(), (std::vector<InstrId>{2, 0}));
-    w.rollback();
-    expectSameState(w, base, "two rows rolled back");
-}
-
-TEST(PreferenceMatrixUndo, BeginUndoDropsThePreviousScope)
-{
-    PreferenceMatrix w = undoFixture();
-    w.beginUndo();
-    w.row(3).scaleCluster(1, 6.0);
-    w.row(3).normalize();
-    const PreferenceMatrix committed = w;
-    w.beginUndo();
-    EXPECT_TRUE(w.touchedRows().empty());
-    w.rollback();  // nothing logged since the new scope opened
-    expectSameState(w, committed, "previous scope kept");
-}
-
-TEST(PreferenceMatrixUndo, MutationsOutsideAScopeAreNotLogged)
-{
-    PreferenceMatrix w(2, 4, 2);
-    w.row(0).scaleCluster(1, 2.0);
-    EXPECT_TRUE(w.touchedRows().empty());
 }
 
 /**
@@ -687,26 +541,6 @@ TEST(PreferenceMatrixPristine, RestrictMatchesMaterializeThenRestrict)
     }
 }
 
-TEST(PreferenceMatrixPristine, RollbackMakesARowPristineAgain)
-{
-    const PreferenceMatrix fresh(2, 8, 3);
-    PreferenceMatrix w(2, 8, 3);
-    w.beginUndo();
-    w.row(0).restrictTimeWindow(1, 3);
-    w.row(0).set(7, 2, 0.5);  // widen past the narrowed window
-    w.row(0).normalize();
-    w.rollback();
-    expectSameState(w, fresh, "rolled back to pristine");
-
-    // The rolled-back row's own bytes were cleared: a pristine-path
-    // restriction (which writes only the new window) leaves no stale
-    // weight behind.
-    PreferenceMatrix reference(2, 8, 3);
-    reference.row(0).restrictTimeWindow(4, 6);
-    w.row(0).restrictTimeWindow(4, 6);
-    expectSameState(w, reference, "restrict after rollback");
-}
-
 TEST(PreferenceMatrixPristine, CopyKeepsPristineRowsAndTheTemplate)
 {
     PreferenceMatrix w(3, 6, 4);
@@ -757,14 +591,13 @@ TEST(PreferenceMatrixPristine, MaskedTemplateMatchesPerRowMasking)
         for (InstrId i = 0; i < 4; ++i)
             expectSameDerived(lazy, eager, i, spec);
 
-        // Both are clean (a normalize changes nothing and logs
-        // nothing), and a pass's first edits agree.
-        lazy.beginUndo();
-        eager.beginUndo();
+        // Both are clean (a normalize changes nothing), and a pass's
+        // first edits agree.
+        const PreferenceMatrix masked = lazy;
         lazy.normalizeAll();
         eager.normalizeAll();
-        EXPECT_TRUE(lazy.touchedRows().empty()) << spec;
-        EXPECT_TRUE(eager.touchedRows().empty()) << spec;
+        expectSameState(lazy, masked, std::string(spec) + ", lazy clean");
+        expectSameState(eager, masked, std::string(spec) + ", eager clean");
         for (PreferenceMatrix *w : {&lazy, &eager}) {
             w->row(0).restrictTimeWindow(3, 8);
             w->row(1).scaleCluster(dead.empty() ? 0 : (dead[0] + 1) %
@@ -774,11 +607,6 @@ TEST(PreferenceMatrixPristine, MaskedTemplateMatchesPerRowMasking)
             w->normalizeAll();
         }
         expectSameState(lazy, eager, std::string(spec) + ", edited");
-        // The undo log holds the masked rows as flags: rolling back
-        // returns them to the masked template.
-        lazy.rollback();
-        eager.rollback();
-        expectSameState(lazy, eager, std::string(spec) + ", rolled back");
     }
 }
 
@@ -817,11 +645,11 @@ walkPasses(const PreferenceMatrix &w, InstrId i)
 
 /**
  * Property test: over random kernel sequences -- including sloppy
- * ones that skip the normalize, non-finite weights, empty windows,
- * and rollbacks -- the guard's verdict (which trusts the stored bit)
- * always equals a forced full walk, the bit never vouches for a row
- * the walk rejects, and a rescaling normalize always records the
- * walk's verdict.
+ * ones that skip the normalize, non-finite weights and empty windows
+ * -- the guard's verdict (which trusts the stored bit) always equals
+ * a forced full walk, the bit never vouches for a row the walk
+ * rejects, and a rescaling normalize always records the walk's
+ * verdict.
  */
 TEST(PreferenceMatrixProperty, StoredVerdictEqualsAFullWalk)
 {
@@ -832,11 +660,10 @@ TEST(PreferenceMatrixProperty, StoredVerdictEqualsAFullWalk)
         const int times = 1 + rng.range(9);
         const int clusters = 1 + rng.range(4);
         PreferenceMatrix w(n, times, clusters);
-        w.beginUndo();
         for (int step = 0; step < 80; ++step) {
             const InstrId i = rng.range(n);
             auto row = w.row(i);
-            switch (rng.range(12)) {
+            switch (rng.range(10)) {
               case 0:
                 row.scaleSlot(rng.range(times), rng.range(clusters),
                               rng.uniform() * 3.0);
@@ -873,12 +700,6 @@ TEST(PreferenceMatrixProperty, StoredVerdictEqualsAFullWalk)
                 row.blendFrom(w.row(rng.range(n)), rng.uniform());
                 break;
               case 9:
-                w.rollback();
-                break;
-              case 10:
-                w.beginUndo();
-                break;
-              case 11:
                 break;  // no edit: only the normalize below
             }
             if (rng.range(3) != 0) {
@@ -901,17 +722,17 @@ TEST(PreferenceMatrixProperty, StoredVerdictEqualsAFullWalk)
                         << "round " << round << " step " << step;
                 }
             }
+            bool every_row_walks = true;
             for (InstrId k = 0; k < n; ++k) {
                 const bool walk = walkPasses(w, k);
-                const InstrId one[] = {k};
-                EXPECT_EQ(checkWeightInvariants(w, one, "P").ok(), walk)
-                    << "round " << round << " step " << step << " row "
-                    << k;
+                every_row_walks &= walk;
                 if (w.verified(k)) {
                     EXPECT_TRUE(walk) << "round " << round << " step "
                                       << step << " row " << k;
                 }
             }
+            EXPECT_EQ(checkWeightInvariants(w, "P").ok(), every_row_walks)
+                << "round " << round << " step " << step;
         }
     }
 }

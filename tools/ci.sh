@@ -55,8 +55,8 @@ run_suite() {
 
 # The runner/journal subsystem under ASan: raw write/fsync/rename
 # paths, signal-flag handling, and the resume replay buffers.  Tier 1
-# runs too: the preference-matrix engine (pristine template, undo log,
-# windowed kernels) and the scheduler's pass guard live there.
+# runs too: the preference-matrix engine (pristine template, windowed
+# kernels) and the scheduler's pass guard live there.
 run_tier2_asan() {
     local build_dir="$1"
     build "${build_dir}" -DCSCHED_SANITIZE=address
@@ -154,8 +154,9 @@ perfbench_smoke() {
 }
 
 # Perf regression gate: re-measure the quick cell set in the optimised
-# build and compare against the checked-in BENCH_*.json baselines at
-# the repo root (csched-bench-report-v1; see DESIGN.md s10).  The gate
+# (Release) build and compare against the checked-in BENCH_*.json
+# baselines at the repo root, which were recorded with Release builds
+# (csched-bench-report-v1; see DESIGN.md s10).  The gate
 # fails on a >15% median slowdown in any cell and prints the
 # per-kernel delta table.  Single-core timer noise at 3 repeats stays
 # well inside that margin; re-baseline with `csched_bench perf` when a
@@ -478,6 +479,7 @@ serve_smoke "${prefix}-asan" asan
 dist_smoke "${prefix}-plain" plain
 dist_smoke "${prefix}-asan" asan
 perfbench_smoke
-perf_gate "${prefix}-plain"
+build "${prefix}-release" -DCMAKE_BUILD_TYPE=Release
+perf_gate "${prefix}-release"
 
 echo "=== all suites passed (plain + tsan + asan/ubsan tier1+tier2 + smokes + online replay + degraded grid + serve drain + dist fleet + perfbench + perf gate)"
