@@ -129,6 +129,7 @@ struct RemoteWorkerPool::Host
 
     State state = State::Disconnected;
     int fd = -1;  ///< owned (closed) by the reader thread
+    std::thread reader;  ///< of the current connection; see controllerMain
     /** Bumped on every loss, so stale readers cannot double-kill. */
     uint64_t generation = 0;
     int capacity = 1;
@@ -222,9 +223,9 @@ RemoteWorkerPool::start()
             host->state = Host::State::Connecting;
             host->fd = *connected;
             host->lastHeard = Clock::now();
-            readerThreads_.emplace_back(&RemoteWorkerPool::readerMain,
-                                        this, host, *connected,
-                                        host->generation);
+            host->reader = std::thread(&RemoteWorkerPool::readerMain,
+                                       this, host, *connected,
+                                       host->generation);
         } else {
             host->reconnectAttempt = 1;
             host->nextReconnectAt =
@@ -280,9 +281,9 @@ RemoteWorkerPool::shutdown()
     }
     if (controller_.joinable())
         controller_.join();
-    for (std::thread &thread : readerThreads_)
-        thread.join();
-    readerThreads_.clear();
+    for (const auto &host : hosts_)
+        if (host->reader.joinable())
+            host->reader.join();
 }
 
 /**
@@ -496,6 +497,10 @@ RemoteWorkerPool::controllerMain()
         // TCP connects happen unlocked (they block); each attempt is
         // kept short -- the backoff schedule provides the pacing.
         for (const auto &host : to_connect) {
+            // The lost connection's fd was shut down, so its reader is
+            // exiting; join it unlocked, as it takes mutex_ on the way.
+            if (host->reader.joinable())
+                host->reader.join();
             auto connected = connectTcp(
                 host->addr, host->port,
                 std::min(options_.connectTimeoutMs, 4 * kTickMs));
@@ -510,9 +515,9 @@ RemoteWorkerPool::controllerMain()
                 ++host->generation;
                 host->fd = *connected;
                 host->lastHeard = Clock::now();
-                readerThreads_.emplace_back(
-                    &RemoteWorkerPool::readerMain, this, host,
-                    *connected, host->generation);
+                host->reader =
+                    std::thread(&RemoteWorkerPool::readerMain, this,
+                                host, *connected, host->generation);
             } else {
                 host->state = Host::State::Disconnected;
                 ++host->reconnectAttempt;

@@ -21,7 +21,10 @@
  *    attempts and records WorkerCrashed exactly as it would locally.
  *  - Heartbeats + liveness deadlines.  A controller thread pings
  *    every connected host; a host silent past the liveness deadline
- *    is declared lost and its leases reassign.
+ *    is declared lost and its leases reassign.  Each host owns the
+ *    reader thread of its current connection; the controller joins it
+ *    before a reconnect starts the next one, and shutdown() joins the
+ *    last.
  *  - Seeded jittered exponential reconnect backoff, a pure function
  *    of (endpoint, attempt) -- support/backoff's recipe, like grid
  *    retries.
@@ -179,7 +182,6 @@ class RemoteWorkerPool final : public JobExecutor
     std::condition_variable stateChanged_;
     std::vector<std::shared_ptr<Host>> hosts_;
     std::map<uint64_t, Lease *> pending_;  ///< dispatch id -> lease
-    std::vector<std::thread> readerThreads_;
     std::thread controller_;
     bool started_ = false;
     bool stopping_ = false;

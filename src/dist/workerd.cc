@@ -1,8 +1,10 @@
 #include "dist/workerd.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <iterator>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -19,16 +21,14 @@ namespace csched {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 /** Budget for a new connection's hello frame. */
 constexpr int kHandshakeTimeoutMs = 5000;
 
 /** Idle tick for reader loops, so drain flags are polled. */
 constexpr int kReadTickMs = 200;
 
-/** How long a drain waits for in-flight jobs after escalation. */
-constexpr int kDrainJobGraceMs = 5000;
+/** Idle tick of the accept loop, which also reaps finished readers. */
+constexpr int kAcceptTickMs = 50;
 
 } // namespace
 
@@ -45,7 +45,7 @@ struct WorkerdServer::Connection
     Connection(const Connection &) = delete;
     Connection &operator=(const Connection &) = delete;
 
-    /** Serialize frame writes (reader pongs vs job-thread results). */
+    /** Serialize frame writes (reader pongs vs job results). */
     Status send(const std::string &payload)
     {
         std::lock_guard<std::mutex> lock(writeMutex);
@@ -127,6 +127,7 @@ WorkerdServer::start()
         }
     }
 
+    jobs_ = std::make_unique<ThreadPool>(capacity_);
     started_ = true;
     if (options_.verbose)
         std::fprintf(stderr,
@@ -141,12 +142,16 @@ WorkerdServer::run()
 {
     CSCHED_ASSERT(started_, "WorkerdServer::run() before start()");
     while (!drainingNow()) {
-        auto client = acceptClient(listenFd_, 50);
+        reapReaders();
+        auto client = acceptClient(listenFd_, kAcceptTickMs);
         if (!client.ok()) {
             if (client.status().code() == ErrorCode::Timeout)
                 continue;  // idle tick; re-check the drain flags
+            // EMFILE fails again at once: wait out a tick, not spin.
             CSCHED_WARN("accept failed: ",
                         client.status().toString());
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(kAcceptTickMs));
             continue;
         }
         // Result frames stream back-to-back on this fd; without
@@ -156,11 +161,28 @@ WorkerdServer::run()
         counters_->connections.fetch_add(1);
         auto connection = std::make_shared<Connection>(*client);
         std::lock_guard<std::mutex> lock(connectionsMutex_);
-        connections_.push_back(connection);
-        readerThreads_.emplace_back(&WorkerdServer::readerMain, this,
-                                    connection);
+        connections_.push_back(
+            {connection, std::thread(&WorkerdServer::readerMain, this,
+                                     connection)});
     }
     return drainAndExit();
+}
+
+void
+WorkerdServer::reapReaders(bool all)
+{
+    std::vector<Reader> finished;
+    {
+        std::lock_guard<std::mutex> lock(connectionsMutex_);
+        const auto live = std::partition(
+            connections_.begin(), connections_.end(),
+            [all](const Reader &reader) { return !all && !reader.done; });
+        std::move(live, connections_.end(), std::back_inserter(finished));
+        connections_.erase(live, connections_.end());
+    }
+    // Joined unlocked: a reader marks itself done under the lock.
+    for (Reader &reader : finished)
+        reader.thread.join();
 }
 
 void
@@ -193,62 +215,28 @@ WorkerdServer::hitCrashPoint()
     }
 }
 
-bool
-WorkerdServer::acquireSlot()
-{
-    std::unique_lock<std::mutex> lock(slotsMutex_);
-    for (;;) {
-        if (drainingNow())
-            return false;
-        if (busySlots_ < capacity_) {
-            ++busySlots_;
-            return true;
-        }
-        slotsFreed_.wait_for(lock, std::chrono::milliseconds(100));
-    }
-}
-
 void
-WorkerdServer::releaseSlot()
-{
-    {
-        std::lock_guard<std::mutex> lock(slotsMutex_);
-        --busySlots_;
-    }
-    slotsFreed_.notify_one();
-}
-
-void
-WorkerdServer::jobMain(std::shared_ptr<Connection> connection,
-                       uint64_t id, WorkerJobFrame frame)
+WorkerdServer::jobMain(const std::shared_ptr<Connection> &connection,
+                       uint64_t id, const WorkerJobFrame &frame)
 {
     hitCrashPoint();
 
-    JobResult result;
-    bool ran = false;
-    if (acquireSlot()) {
+    // During a drain nothing runs or is sent: connections are being
+    // torn down, and the client's lease layer reassigns the job anyway.
+    bool sent = false;
+    if (!drainingNow()) {
         const BaselineMemo memo = frame.baselineMemo();
         counters_->jobsRun.fetch_add(1);
-        result = pool_->run(frame.spec, frame.policy(),
-                            memo.empty() ? nullptr : &memo);
-        releaseSlot();
-        ran = true;
+        const JobResult result = pool_->run(
+            frame.spec, frame.policy(), memo.empty() ? nullptr : &memo);
+        sent = !drainingNow() &&
+               connection->send(encodeDistResult(id, result)).ok();
     }
-
-    // During a drain nothing is sent: connections are being torn
-    // down, and the client's lease layer reassigns the job anyway.
-    if (!ran || drainingNow()) {
-        counters_->resultsDropped.fetch_add(1);
-    } else if (connection->send(encodeDistResult(id, result)).ok()) {
+    if (sent)
         counters_->resultsSent.fetch_add(1);
-    } else {
+    else
         counters_->resultsDropped.fetch_add(1);
-    }
-
-    if (activeJobs_.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(jobsDoneMutex_);
-        jobsDone_.notify_all();
-    }
+    activeJobs_.fetch_sub(1);
 }
 
 void
@@ -308,10 +296,10 @@ WorkerdServer::readerMain(std::shared_ptr<Connection> connection)
         }
         if (decoded->kind == DistMessage::Kind::Job) {
             activeJobs_.fetch_add(1);
-            std::lock_guard<std::mutex> lock(jobThreadsMutex_);
-            jobThreads_.emplace_back(&WorkerdServer::jobMain, this,
-                                     connection, decoded->id,
-                                     std::move(*decoded->job));
+            jobs_->submit([this, connection, id = decoded->id,
+                           job = std::move(*decoded->job)] {
+                jobMain(connection, id, job);
+            });
             continue;
         }
         // A client has no business sending welcome/result/pong.
@@ -320,13 +308,9 @@ WorkerdServer::readerMain(std::shared_ptr<Connection> connection)
     }
 
     std::lock_guard<std::mutex> lock(connectionsMutex_);
-    for (auto it = connections_.begin(); it != connections_.end();
-         ++it) {
-        if (it->get() == connection.get()) {
-            connections_.erase(it);
-            break;
-        }
-    }
+    for (Reader &reader : connections_)
+        if (reader.connection == connection)
+            reader.done = true;
 }
 
 int
@@ -343,7 +327,6 @@ WorkerdServer::drainAndExit()
         ::close(listenFd_);
         listenFd_ = -1;
     }
-    slotsFreed_.notify_all();
 
     // 2. Drop every connection now.  Unlike the serve daemon there is
     //    no backlog to answer: the client's lease layer treats the
@@ -351,40 +334,24 @@ WorkerdServer::drainAndExit()
     //    simpler than finishing in-flight replies during a shutdown.
     {
         std::lock_guard<std::mutex> lock(connectionsMutex_);
-        for (const auto &connection : connections_)
-            connection->shutdownBoth();
+        for (const Reader &reader : connections_)
+            reader.connection->shutdownBoth();
     }
 
     // 3. Readers exit promptly on the shutdown (EOF or their next
-    //    idle tick).  They must be joined *before* the job threads so
-    //    no reader can spawn a job thread after the join below.
-    for (std::thread &thread : readerThreads_)
-        thread.join();
-    readerThreads_.clear();
+    //    idle tick).  They must be joined *before* the job pool so no
+    //    reader can submit a job to a pool being destroyed.
+    reapReaders(/*all=*/true);
 
     // 4. In-flight jobs unwind at their next cooperative checkpoint;
-    //    hung workers are killed by the per-dispatch watchdog.  (No
-    //    escalation when idle: an in-process server must not poison
-    //    its host process's cancellation root for nothing.)
+    //    hung workers are killed by the per-dispatch watchdog; queued
+    //    jobs see the drain and drop their results.  (No escalation
+    //    when idle: an in-process server must not poison its host
+    //    process's cancellation root for nothing.)  Destroying the
+    //    pool joins its threads once the queue is empty.
     if (activeJobs_.load() != 0)
         escalateInterrupt();
-    {
-        std::unique_lock<std::mutex> lock(jobsDoneMutex_);
-        jobsDone_.wait_until(
-            lock,
-            Clock::now() + std::chrono::milliseconds(kDrainJobGraceMs),
-            [this] { return activeJobs_.load() == 0; });
-    }
-    {
-        std::lock_guard<std::mutex> lock(jobThreadsMutex_);
-        for (std::thread &thread : jobThreads_)
-            thread.join();
-        jobThreads_.clear();
-    }
-    {
-        std::lock_guard<std::mutex> lock(connectionsMutex_);
-        connections_.clear();
-    }
+    jobs_.reset();
 
     // 5. Reap the worker processes.
     pool_.reset();

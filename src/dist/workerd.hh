@@ -14,11 +14,12 @@
  * A job's own `interrupted` result is sent back like any other; only
  * the client's grid drains on it, never the daemon.
  *
- * Topology: one accept loop, one reader thread per connection, one
- * short-lived job thread per dispatched job, all execution bounded by
- * a capacity semaphore the size of the worker pool (advertised in the
- * welcome message so clients self-limit).  Heartbeat pings are
- * answered inline by the reader.
+ * Topology: one accept loop, one reader thread per connection (owned
+ * by the connection registry; the accept loop joins finished ones on
+ * its next tick), and a ThreadPool of one thread per worker process
+ * running the dispatched jobs in arrival order.  Its size is the
+ * capacity advertised in the welcome message, so clients self-limit.
+ * Heartbeat pings are answered inline by the reader.
  *
  * Untrusted peers: a connection that sends garbage, an oversized
  * length prefix, or any frame that fails decodeDistMessage() is
@@ -39,7 +40,6 @@
 #define CSCHED_DIST_WORKERD_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -52,6 +52,7 @@
 
 namespace csched {
 
+class ThreadPool;
 class WorkerPool;
 
 /** Everything a workerd needs to start. */
@@ -132,17 +133,26 @@ class WorkerdServer
   private:
     struct Connection;
 
+    /** A connection and the reader thread that serves it. */
+    struct Reader
+    {
+        std::shared_ptr<Connection> connection;
+        std::thread thread;
+        bool done = false;  ///< set by the reader as it exits
+    };
+
     bool drainingNow() const;
     void readerMain(std::shared_ptr<Connection> connection);
-    void jobMain(std::shared_ptr<Connection> connection, uint64_t id,
-                 WorkerJobFrame frame);
+    /** Join and drop the finished readers, or every reader if @p all. */
+    void reapReaders(bool all = false);
+    void jobMain(const std::shared_ptr<Connection> &connection,
+                 uint64_t id, const WorkerJobFrame &frame);
     void hitCrashPoint();
-    bool acquireSlot();
-    void releaseSlot();
     int drainAndExit();
 
     WorkerdOptions options_;
     std::unique_ptr<WorkerPool> pool_;
+    std::unique_ptr<ThreadPool> jobs_;  ///< runs capacity_ jobs at once
     std::unique_ptr<FaultScope> crashScope_;  ///< guarded by crashMutex_
     std::mutex crashMutex_;
     int listenFd_ = -1;
@@ -152,18 +162,9 @@ class WorkerdServer
     bool finished_ = false;
     std::atomic<bool> stop_{false};
 
-    std::mutex slotsMutex_;
-    std::condition_variable slotsFreed_;
-    int busySlots_ = 0;
-
     std::mutex connectionsMutex_;
-    std::vector<std::shared_ptr<Connection>> connections_;
-    std::vector<std::thread> readerThreads_;
-    std::vector<std::thread> jobThreads_;
-    std::mutex jobThreadsMutex_;
-    std::atomic<int> activeJobs_{0};
-    std::mutex jobsDoneMutex_;
-    std::condition_variable jobsDone_;
+    std::vector<Reader> connections_;  ///< guarded by connectionsMutex_
+    std::atomic<int> activeJobs_{0};  ///< a drain escalates if > 0
 
     struct Counters;
     std::unique_ptr<Counters> counters_;

@@ -1,7 +1,9 @@
 #include "serve/server.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 
 #include <unistd.h>
 
@@ -15,6 +17,9 @@ namespace csched {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/** Idle tick of the accept loop, which also reaps finished readers. */
+constexpr int kAcceptTickMs = 50;
 
 int64_t
 steadyMs(Clock::time_point when = Clock::now())
@@ -107,12 +112,16 @@ Server::run()
     CSCHED_ASSERT(started_, "Server::run() before start()");
     FaultScope acceptScope(options_.faults, "serve/accept");
     while (!drainingNow()) {
-        auto client = acceptClient(listenFd_, 50);
+        reapReaders();
+        auto client = acceptClient(listenFd_, kAcceptTickMs);
         if (!client.ok()) {
             if (client.status().code() == ErrorCode::Timeout)
                 continue;  // idle tick; re-check the drain flags
+            // EMFILE fails again at once: wait out a tick, not spin.
             CSCHED_WARN("accept failed: ",
                         client.status().toString());
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(kAcceptTickMs));
             continue;
         }
         counters_->connections.fetch_add(1);
@@ -129,12 +138,27 @@ Server::run()
             *client, ++nextSessionId_, options_.sendTimeoutMs,
             options_.faults);
         std::lock_guard<std::mutex> lock(sessionsMutex_);
-        sessions_.push_back(session);
-        activeReaders_.fetch_add(1);
-        readerThreads_.emplace_back(&Server::readerMain, this,
-                                    session);
+        sessions_.push_back(
+            {session, std::thread(&Server::readerMain, this, session)});
     }
     return drainAndExit();
+}
+
+void
+Server::reapReaders(bool all)
+{
+    std::vector<Reader> finished;
+    {
+        std::lock_guard<std::mutex> lock(sessionsMutex_);
+        const auto live = std::partition(
+            sessions_.begin(), sessions_.end(),
+            [all](const Reader &reader) { return !all && !reader.done; });
+        std::move(live, sessions_.end(), std::back_inserter(finished));
+        sessions_.erase(live, sessions_.end());
+    }
+    // Joined unlocked: a reader marks itself done under the lock.
+    for (Reader &reader : finished)
+        reader.thread.join();
 }
 
 void
@@ -240,20 +264,12 @@ Server::readerMain(std::shared_ptr<Session> session)
         }
     }
     // The session object stays alive through any queued shared_ptrs;
-    // dropping it from the registry only ends *our* bookkeeping.
+    // the registry entry only waits for the accept loop to join us.
     {
         std::lock_guard<std::mutex> lock(sessionsMutex_);
-        for (auto it = sessions_.begin(); it != sessions_.end();
-             ++it) {
-            if (it->get() == session.get()) {
-                sessions_.erase(it);
-                break;
-            }
-        }
-    }
-    {
-        std::lock_guard<std::mutex> lock(readerDoneMutex_);
-        activeReaders_.fetch_sub(1);
+        for (Reader &reader : sessions_)
+            if (reader.session == session)
+                reader.done = true;
     }
     readerDone_.notify_all();
 }
@@ -509,26 +525,23 @@ Server::drainAndExit()
     //    reader exits on that EOF with nothing lost.  Only clients
     //    that outstay the drain deadline are force-closed.
     {
-        std::unique_lock<std::mutex> lock(readerDoneMutex_);
-        readerDone_.wait_until(
+        std::unique_lock<std::mutex> lock(sessionsMutex_);
+        const bool all_done = readerDone_.wait_until(
             lock,
             Clock::now() +
                 std::chrono::milliseconds(options_.drainDeadlineMs),
-            [this] { return activeReaders_.load() == 0; });
+            [this] {
+                return std::all_of(
+                    sessions_.begin(), sessions_.end(),
+                    [](const Reader &reader) { return reader.done; });
+            });
+        if (!all_done) {
+            readersShouldExit_.store(true);
+            for (const Reader &reader : sessions_)
+                reader.session->shutdownRead();
+        }
     }
-    if (activeReaders_.load() != 0) {
-        readersShouldExit_.store(true);
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
-        for (const auto &session : sessions_)
-            session->shutdownRead();
-    }
-    for (std::thread &thread : readerThreads_)
-        thread.join();
-    readerThreads_.clear();
-    {
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
-        sessions_.clear();
-    }
+    reapReaders(/*all=*/true);
 
     // 5. Reap the worker processes.
     pool_.reset();

@@ -9,7 +9,9 @@
  *
  *   accept loop (run(), caller's thread)
  *     -> reader thread per connection: decode frames, apply admission
- *        control, reply to rejections inline
+ *        control, reply to rejections inline.  The session registry
+ *        owns the thread; a finished reader marks its entry done and
+ *        the accept loop joins it on its next tick.
  *       -> bounded RequestQueue (the backpressure boundary)
  *         -> dispatcher threads: shed aged-out requests, consult the
  *            result cache / single-flight table, run jobs in isolated
@@ -154,7 +156,17 @@ class Server
     }
 
   private:
+    /** A session and the reader thread that serves it. */
+    struct Reader
+    {
+        std::shared_ptr<Session> session;
+        std::thread thread;
+        bool done = false;  ///< set by the reader as it exits
+    };
+
     void readerMain(std::shared_ptr<Session> session);
+    /** Join and drop the finished readers, or every reader if @p all. */
+    void reapReaders(bool all = false);
     void dispatcherMain();
     void handle(QueuedRequest item);
     JobResult runLeader(const ServeRequest &request,
@@ -185,11 +197,8 @@ class Server
     std::condition_variable dispatcherDone_;
 
     std::mutex sessionsMutex_;
-    std::vector<std::shared_ptr<Session>> sessions_;
-    std::vector<std::thread> readerThreads_;
-    std::atomic<int> activeReaders_{0};
-    std::mutex readerDoneMutex_;
-    std::condition_variable readerDone_;
+    std::vector<Reader> sessions_;  ///< guarded by sessionsMutex_
+    std::condition_variable readerDone_;  ///< waits on sessionsMutex_
     uint64_t nextSessionId_ = 0;
 
     /** Crash-loop supervision: consecutive worker deaths trip it. */

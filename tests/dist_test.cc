@@ -413,6 +413,138 @@ TEST(WorkerdHardening, SurvivesGarbageAndOversizedFrames)
     serving.join();
 }
 
+/** Lines of /proc/self/maps: one per mapping, so every thread stack
+ *  that is never unmapped shows up. */
+int
+mappingCount()
+{
+    std::ifstream maps("/proc/self/maps");
+    int lines = 0;
+    for (std::string line; std::getline(maps, line);)
+        ++lines;
+    return lines;
+}
+
+/** The "Threads:" field of /proc/self/status. */
+int
+threadCount()
+{
+    std::ifstream status("/proc/self/status");
+    for (std::string line; std::getline(status, line);)
+        if (line.rfind("Threads:", 0) == 0)
+            return std::atoi(line.c_str() + 8);
+    return -1;
+}
+
+/** Connect to an in-process daemon and complete the handshake. */
+int
+welcomedClient(const WorkerdServer &server)
+{
+    const auto fd = connectTcp("127.0.0.1", server.port(), 2000);
+    EXPECT_TRUE(fd.ok()) << fd.status().toString();
+    if (!fd.ok())
+        return -1;
+    EXPECT_TRUE(writeFrame(*fd, encodeDistHello()).ok());
+    const auto welcome = readFrame(*fd, 3000, kDistMaxFrameBytes);
+    EXPECT_TRUE(welcome.ok()) << welcome.error;
+    return *fd;
+}
+
+TEST(WorkerdHardening, MappingsStayFlatOverManyJobsAndConnections)
+{
+    WorkerdOptions options;
+    options.workers = 1;
+    WorkerdServer server(std::move(options));
+    ASSERT_TRUE(server.start().ok());
+    std::thread serving([&] { server.run(); });
+
+    const int fd = welcomedClient(server);
+    ASSERT_GE(fd, 0);
+    const JobPolicy policy;
+    auto runJobs = [&](uint64_t first, int count) {
+        for (uint64_t id = first; id < first + count; ++id) {
+            ASSERT_TRUE(writeFrame(fd, encodeDistJob(id, smallJob(),
+                                                     policy, 0, nullptr))
+                            .ok());
+            const FrameResult frame =
+                readFrame(fd, 10000, kDistMaxFrameBytes);
+            ASSERT_TRUE(frame.ok()) << frame.error;
+            const auto result = decodeDistMessage(frame.payload);
+            ASSERT_TRUE(result.ok()) << result.status().toString();
+            ASSERT_EQ(result->id, id);
+        }
+    };
+    auto shortConnections = [&](int count) {
+        for (int k = 0; k < count; ++k) {
+            const int client = welcomedClient(server);
+            ASSERT_GE(client, 0);
+            ::close(client);
+        }
+    };
+
+    // Warm up with as many connections as are measured: allocator
+    // arenas and a sanitizer runtime's per-thread bookkeeping grow to
+    // a high-water mark over the first threads, joined or not.
+    runJobs(1, 5);
+    shortConnections(50);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const int before = mappingCount();
+
+    // A thread per job or per connection that nobody joins keeps its
+    // stack and guard page mapped: about two lines each.
+    runJobs(100, 300);
+    shortConnections(50);
+    EXPECT_TRUE(eventually([&] { return mappingCount() <= before + 64; }))
+        << "maps grew from " << before << " to " << mappingCount()
+        << " lines over 300 jobs and 50 connections";
+    // resultsSent is counted after the write the client already read.
+    EXPECT_TRUE(
+        eventually([&] { return server.stats().resultsSent == 305; }));
+
+    ::close(fd);
+    server.stop();
+    serving.join();
+}
+
+TEST(WorkerdHardening, DrainDropsJobsQueuedBeyondCapacity)
+{
+    InterruptGuard guard;  // the drain escalates in-flight jobs
+    WorkerdOptions options;
+    options.workers = 1;
+    WorkerdServer server(std::move(options));
+    ASSERT_TRUE(server.start().ok());
+    std::thread serving([&] { server.run(); });
+
+    const int fd = welcomedClient(server);
+    ASSERT_GE(fd, 0);
+    const int threads_before = threadCount();
+
+    // Three slow jobs on a one-worker daemon: one runs, two queue.
+    const FaultPlan slow = mustParse("runner.job.start=slow:ms=1000");
+    JobPolicy policy;
+    policy.faults = &slow;
+    for (uint64_t id = 1; id <= 3; ++id)
+        ASSERT_TRUE(writeFrame(fd, encodeDistJob(id, smallJob(), policy,
+                                                 0, nullptr))
+                        .ok());
+    ASSERT_TRUE(eventually([&] { return server.stats().jobsRun == 1; }));
+    // Once the reader has taken all three frames, the queued jobs wait
+    // in the daemon's job pool, not on threads of their own.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_LE(threadCount(), threads_before);
+
+    const auto drain_start = Clock::now();
+    server.stop();
+    serving.join();
+    EXPECT_LT(Clock::now() - drain_start, std::chrono::seconds(5));
+
+    const WorkerdStats stats = server.stats();
+    EXPECT_EQ(stats.jobsRun, 1u);  // the queued two never started
+    EXPECT_EQ(stats.resultsSent, 0u);
+    EXPECT_EQ(stats.resultsDropped, 3u);
+    ::close(fd);
+}
+
 // --- End-to-end fleet --------------------------------------------------
 
 TEST(DistFleet, ReportIsByteIdenticalToInProcessAtAnyHostCount)

@@ -16,6 +16,7 @@
 
 #include <chrono>
 #include <csignal>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -546,6 +547,49 @@ TEST(ServeDaemon, ServesScheduleRequestsAndCachesRepeats)
         return running.server.stats().repliesSent == 2;
     }));
     EXPECT_EQ(running.finish(), 0);  // programmatic stop, not a signal
+}
+
+/** Lines of /proc/self/maps: one per mapping, so every thread stack
+ *  that is never unmapped shows up. */
+int
+mappingCount()
+{
+    std::ifstream maps("/proc/self/maps");
+    int lines = 0;
+    for (std::string line; std::getline(maps, line);)
+        ++lines;
+    return lines;
+}
+
+TEST(ServeDaemon, FinishedReadersAreJoinedNotLeaked)
+{
+    InterruptGuard guard;
+    RunningServer running(baseOptions(tempPath("sock")));
+    ASSERT_TRUE(running.startOk);
+
+    // One connection per request; a reader thread that nobody joins
+    // keeps its stack and guard page mapped, about two lines each.
+    auto oneShot = [&](uint64_t id) {
+        const int fd = connectTo(running.server.socketPath());
+        ASSERT_GE(fd, 0);
+        EXPECT_EQ(roundTrip(fd, makeRequest(id, "vvmul")).status, "ok");
+        ::close(fd);
+    };
+    // Warm up with as many connections as are measured: allocator
+    // arenas and a sanitizer runtime's per-thread bookkeeping grow to
+    // a high-water mark over the first hundred threads, joined or not.
+    for (uint64_t id = 1; id <= 100; ++id)
+        oneShot(id);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const int before = mappingCount();
+
+    for (uint64_t id = 101; id <= 200; ++id)
+        oneShot(id);
+    EXPECT_TRUE(eventually([&] { return mappingCount() <= before + 40; }))
+        << "maps grew from " << before << " to " << mappingCount()
+        << " lines over 100 connections";
+    EXPECT_EQ(running.server.stats().connections, 200u);
+    EXPECT_EQ(running.finish(), 0);
 }
 
 TEST(ServeDaemon, BadFramesGetStructuredRepliesAndTheConnectionLives)

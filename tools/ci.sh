@@ -445,6 +445,20 @@ dist_smoke() {
         exit 1
     }
 
+    # The survivor's memory must not grow with jobs served: 400 more
+    # jobs over 8 connections.  A thread per job or per connection
+    # that nobody joins keeps its stack mapped (two maps lines each).
+    local maps_before maps_after
+    maps_before=$(wc -l <"/proc/${pid_b}/maps")
+    "${build_dir}/tools/csched_load" --clients 8 --requests 50 \
+        --endpoint "127.0.0.1:$(cat "${tmp}/b.port")" >/dev/null
+    maps_after=$(wc -l <"/proc/${pid_b}/maps")
+    if [ $((maps_after - maps_before)) -ge 100 ]; then
+        echo "dist smoke: workerd maps grew from ${maps_before} to" \
+             "${maps_after} lines over 400 jobs" >&2
+        exit 1
+    fi
+
     # Graceful drain of the survivor: SIGTERM, exit 143, no orphans.
     kill -TERM "${pid_b}"
     local drain_code=0
