@@ -1,10 +1,8 @@
 #include "dist/workerd.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <iterator>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -27,9 +25,6 @@ constexpr int kHandshakeTimeoutMs = 5000;
 /** Idle tick for reader loops, so drain flags are polled. */
 constexpr int kReadTickMs = 200;
 
-/** Idle tick of the accept loop, which also reaps finished readers. */
-constexpr int kAcceptTickMs = 50;
-
 } // namespace
 
 /** One accepted client connection. */
@@ -42,18 +37,12 @@ struct WorkerdServer::Connection
             ::close(fd);
     }
 
-    Connection(const Connection &) = delete;
-    Connection &operator=(const Connection &) = delete;
-
     /** Serialize frame writes (reader pongs vs job results). */
     Status send(const std::string &payload)
     {
         std::lock_guard<std::mutex> lock(writeMutex);
         return writeFrame(fd, payload);
     }
-
-    /** Wake a blocked reader; subsequent reads see EOF. */
-    void shutdownBoth() { ::shutdown(fd, SHUT_RDWR); }
 
     int fd = -1;
     std::mutex writeMutex;
@@ -141,48 +130,18 @@ int
 WorkerdServer::run()
 {
     CSCHED_ASSERT(started_, "WorkerdServer::run() before start()");
-    while (!drainingNow()) {
-        reapReaders();
-        auto client = acceptClient(listenFd_, kAcceptTickMs);
-        if (!client.ok()) {
-            if (client.status().code() == ErrorCode::Timeout)
-                continue;  // idle tick; re-check the drain flags
-            // EMFILE fails again at once: wait out a tick, not spin.
-            CSCHED_WARN("accept failed: ",
-                        client.status().toString());
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(kAcceptTickMs));
-            continue;
-        }
-        // Result frames stream back-to-back on this fd; without
-        // NODELAY each one stalls on Nagle + delayed ACK (~40 ms).
-        setTcpNoDelay(*client);
-        setSendTimeout(*client, options_.sendTimeoutMs);
-        counters_->connections.fetch_add(1);
-        auto connection = std::make_shared<Connection>(*client);
-        std::lock_guard<std::mutex> lock(connectionsMutex_);
-        connections_.push_back(
-            {connection, std::thread(&WorkerdServer::readerMain, this,
-                                     connection)});
-    }
+    readers_.acceptUntil(
+        listenFd_, [this] { return drainingNow(); },
+        [this](int fd) -> std::function<void()> {
+            // Result frames stream back-to-back on this fd; without
+            // NODELAY each one stalls on Nagle + delayed ACK (~40 ms).
+            setTcpNoDelay(fd);
+            setSendTimeout(fd, options_.sendTimeoutMs);
+            counters_->connections.fetch_add(1);
+            auto connection = std::make_shared<Connection>(fd);
+            return [this, connection] { readerMain(connection); };
+        });
     return drainAndExit();
-}
-
-void
-WorkerdServer::reapReaders(bool all)
-{
-    std::vector<Reader> finished;
-    {
-        std::lock_guard<std::mutex> lock(connectionsMutex_);
-        const auto live = std::partition(
-            connections_.begin(), connections_.end(),
-            [all](const Reader &reader) { return !all && !reader.done; });
-        std::move(live, connections_.end(), std::back_inserter(finished));
-        connections_.erase(live, connections_.end());
-    }
-    // Joined unlocked: a reader marks itself done under the lock.
-    for (Reader &reader : finished)
-        reader.thread.join();
 }
 
 void
@@ -236,7 +195,6 @@ WorkerdServer::jobMain(const std::shared_ptr<Connection> &connection,
         counters_->resultsSent.fetch_add(1);
     else
         counters_->resultsDropped.fetch_add(1);
-    activeJobs_.fetch_sub(1);
 }
 
 void
@@ -295,7 +253,6 @@ WorkerdServer::readerMain(std::shared_ptr<Connection> connection)
             continue;
         }
         if (decoded->kind == DistMessage::Kind::Job) {
-            activeJobs_.fetch_add(1);
             jobs_->submit([this, connection, id = decoded->id,
                            job = std::move(*decoded->job)] {
                 jobMain(connection, id, job);
@@ -306,11 +263,6 @@ WorkerdServer::readerMain(std::shared_ptr<Connection> connection)
         counters_->invalidMessages.fetch_add(1);
         break;
     }
-
-    std::lock_guard<std::mutex> lock(connectionsMutex_);
-    for (Reader &reader : connections_)
-        if (reader.connection == connection)
-            reader.done = true;
 }
 
 int
@@ -332,16 +284,12 @@ WorkerdServer::drainAndExit()
     //    no backlog to answer: the client's lease layer treats the
     //    disconnect as a host loss and reassigns, which is faster and
     //    simpler than finishing in-flight replies during a shutdown.
-    {
-        std::lock_guard<std::mutex> lock(connectionsMutex_);
-        for (const Reader &reader : connections_)
-            reader.connection->shutdownBoth();
-    }
+    readers_.shutdownLive(SHUT_RDWR);
 
     // 3. Readers exit promptly on the shutdown (EOF or their next
     //    idle tick).  They must be joined *before* the job pool so no
     //    reader can submit a job to a pool being destroyed.
-    reapReaders(/*all=*/true);
+    readers_.joinAll();
 
     // 4. In-flight jobs unwind at their next cooperative checkpoint;
     //    hung workers are killed by the per-dispatch watchdog; queued
@@ -349,7 +297,7 @@ WorkerdServer::drainAndExit()
     //    when idle: an in-process server must not poison its host
     //    process's cancellation root for nothing.)  Destroying the
     //    pool joins its threads once the queue is empty.
-    if (activeJobs_.load() != 0)
+    if (!jobs_->waitFor(std::chrono::milliseconds(0)))
         escalateInterrupt();
     jobs_.reset();
 

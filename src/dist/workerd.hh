@@ -14,10 +14,11 @@
  * A job's own `interrupted` result is sent back like any other; only
  * the client's grid drains on it, never the daemon.
  *
- * Topology: one accept loop, one reader thread per connection (owned
- * by the connection registry; the accept loop joins finished ones on
- * its next tick), and a ThreadPool of one thread per worker process
- * running the dispatched jobs in arrival order.  Its size is the
+ * Topology: the accept loop and reader threads the serve daemon uses
+ * too (support/connection_readers.hh: one reader per connection,
+ * joined by the accept loop on its next tick after it finishes), and
+ * a ThreadPool of one thread per worker process running the
+ * dispatched jobs in arrival order.  Its size is the
  * capacity advertised in the welcome message, so clients self-limit.
  * Heartbeat pings are answered inline by the reader.
  *
@@ -44,10 +45,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "dist/protocol.hh"
+#include "support/connection_readers.hh"
 #include "support/fault_injection.hh"
 
 namespace csched {
@@ -133,18 +133,8 @@ class WorkerdServer
   private:
     struct Connection;
 
-    /** A connection and the reader thread that serves it. */
-    struct Reader
-    {
-        std::shared_ptr<Connection> connection;
-        std::thread thread;
-        bool done = false;  ///< set by the reader as it exits
-    };
-
     bool drainingNow() const;
     void readerMain(std::shared_ptr<Connection> connection);
-    /** Join and drop the finished readers, or every reader if @p all. */
-    void reapReaders(bool all = false);
     void jobMain(const std::shared_ptr<Connection> &connection,
                  uint64_t id, const WorkerJobFrame &frame);
     void hitCrashPoint();
@@ -162,9 +152,7 @@ class WorkerdServer
     bool finished_ = false;
     std::atomic<bool> stop_{false};
 
-    std::mutex connectionsMutex_;
-    std::vector<Reader> connections_;  ///< guarded by connectionsMutex_
-    std::atomic<int> activeJobs_{0};  ///< a drain escalates if > 0
+    ConnectionReaders readers_;
 
     struct Counters;
     std::unique_ptr<Counters> counters_;

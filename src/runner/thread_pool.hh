@@ -1,16 +1,18 @@
 /**
  * @file
- * A fixed-size thread pool for the experiment grid (and any future
- * embarrassingly parallel batch work).  Deliberately minimal: submit
- * void() tasks, wait for quiescence, destruction joins the workers.
- * Determinism of results is the *caller's* job -- the pool makes no
- * ordering promises, so callers must write into pre-assigned slots
- * rather than share mutable state (see grid_runner.cc).
+ * A fixed-size thread pool: the experiment grid's job slots, the
+ * serve daemon's dispatchers and the worker daemon's job runners.
+ * Deliberately minimal: submit void() tasks, wait for quiescence
+ * (bounded or not), destruction runs what is queued and joins the
+ * workers.  Determinism of results is the *caller's* job -- the pool
+ * makes no ordering promises, so callers must write into pre-assigned
+ * slots rather than share mutable state (see grid_runner.cc).
  */
 
 #ifndef CSCHED_RUNNER_THREAD_POOL_HH
 #define CSCHED_RUNNER_THREAD_POOL_HH
 
+#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -43,6 +45,18 @@ class ThreadPool
 
     /** Block until the queue is empty and every worker is idle. */
     void wait();
+
+    /**
+     * wait() for at most @p timeout; true if the pool went idle.
+     * waitFor(0ms) asks whether it is idle now.
+     */
+    bool waitFor(std::chrono::milliseconds timeout)
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        return allIdle_.wait_for(lock, timeout, [this] {
+            return queue_.empty() && active_ == 0;
+        });
+    }
 
     int numThreads() const { return static_cast<int>(workers_.size()); }
 

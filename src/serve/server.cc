@@ -1,10 +1,9 @@
 #include "serve/server.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <iterator>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "eval/experiment.hh"
@@ -17,9 +16,6 @@ namespace csched {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/** Idle tick of the accept loop, which also reaps finished readers. */
-constexpr int kAcceptTickMs = 50;
 
 int64_t
 steadyMs(Clock::time_point when = Clock::now())
@@ -61,8 +57,7 @@ struct Server::Counters
 };
 
 Server::Server(ServeOptions options)
-    : options_(std::move(options)), queue_(options_.queueCapacity),
-      cache_(options_.cacheCapacity),
+    : options_(std::move(options)), cache_(options_.cacheCapacity),
       crashLoop_("serve.degrade", options_.crashLoopThreshold,
                  options_.degradeCooldownMs),
       counters_(std::make_unique<Counters>())
@@ -92,9 +87,7 @@ Server::start()
     }
     listenFd_ = *listening;
 
-    activeDispatchers_.store(options_.dispatchers);
-    for (int i = 0; i < options_.dispatchers; ++i)
-        dispatcherThreads_.emplace_back(&Server::dispatcherMain, this);
+    dispatchers_ = std::make_unique<ThreadPool>(options_.dispatchers);
 
     started_ = true;
     if (options_.verbose)
@@ -111,54 +104,26 @@ Server::run()
 {
     CSCHED_ASSERT(started_, "Server::run() before start()");
     FaultScope acceptScope(options_.faults, "serve/accept");
-    while (!drainingNow()) {
-        reapReaders();
-        auto client = acceptClient(listenFd_, kAcceptTickMs);
-        if (!client.ok()) {
-            if (client.status().code() == ErrorCode::Timeout)
-                continue;  // idle tick; re-check the drain flags
-            // EMFILE fails again at once: wait out a tick, not spin.
-            CSCHED_WARN("accept failed: ",
-                        client.status().toString());
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(kAcceptTickMs));
-            continue;
-        }
-        counters_->connections.fetch_add(1);
-        try {
-            acceptScope.hit("serve.accept");
-        } catch (const StatusError &) {
-            // Simulated accept pressure: close before reading a single
-            // byte, so no request is ever half-owned by the server.
-            ::close(*client);
-            counters_->acceptRejected.fetch_add(1);
-            continue;
-        }
-        auto session = std::make_shared<Session>(
-            *client, ++nextSessionId_, options_.sendTimeoutMs,
-            options_.faults);
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
-        sessions_.push_back(
-            {session, std::thread(&Server::readerMain, this, session)});
-    }
+    readers_.acceptUntil(
+        listenFd_, [this] { return drainingNow(); },
+        [&](int fd) -> std::function<void()> {
+            counters_->connections.fetch_add(1);
+            try {
+                acceptScope.hit("serve.accept");
+            } catch (const StatusError &) {
+                // Simulated accept pressure: close before reading a
+                // single byte, so no request is ever half-owned by the
+                // server.
+                ::close(fd);
+                counters_->acceptRejected.fetch_add(1);
+                return nullptr;
+            }
+            auto session = std::make_shared<Session>(
+                fd, ++nextSessionId_, options_.sendTimeoutMs,
+                options_.faults);
+            return [this, session] { readerMain(session); };
+        });
     return drainAndExit();
-}
-
-void
-Server::reapReaders(bool all)
-{
-    std::vector<Reader> finished;
-    {
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
-        const auto live = std::partition(
-            sessions_.begin(), sessions_.end(),
-            [all](const Reader &reader) { return !all && !reader.done; });
-        std::move(live, sessions_.end(), std::back_inserter(finished));
-        sessions_.erase(live, sessions_.end());
-    }
-    // Joined unlocked: a reader marks itself done under the lock.
-    for (Reader &reader : finished)
-        reader.thread.join();
 }
 
 void
@@ -181,17 +146,8 @@ Server::readerMain(std::shared_ptr<Session> session)
             readFrame(session->fd(), 200, options_.maxFrameBytes);
         if (frame.kind == FrameResult::Kind::Eof)
             break;
-        if (frame.kind == FrameResult::Kind::Timeout) {
-            // Idle tick.  During a drain the reader keeps serving --
-            // every late request gets an `interrupted` reply and a
-            // well-behaved client closes on seeing one, which is what
-            // ends this loop (EOF).  readersShouldExit_ is the forced
-            // fallback for clients that never close, set only after
-            // the drain deadline.
-            if (readersShouldExit_.load())
-                break;
-            continue;
-        }
+        if (frame.kind == FrameResult::Kind::Timeout)
+            continue;  // idle; a drain ends readers by EOF (step 4)
         if (frame.kind == FrameResult::Kind::Oversized) {
             // Distinct, structured refusal -- then drop the
             // connection, because the stream is no longer framed (we
@@ -251,7 +207,7 @@ Server::readerMain(std::shared_ptr<Session> session)
                     ? item.admitted +
                           std::chrono::milliseconds(deadline_ms)
                     : Clock::time_point::max();
-            verdict = queue_.push(std::move(item));
+            verdict = admit(std::move(item));
             if (verdict.ok())
                 counters_->admitted.fetch_add(1);
         }
@@ -263,34 +219,27 @@ Server::readerMain(std::shared_ptr<Session> session)
             sendReply(session, makeRejection(request, verdict));
         }
     }
-    // The session object stays alive through any queued shared_ptrs;
-    // the registry entry only waits for the accept loop to join us.
-    {
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
-        for (Reader &reader : sessions_)
-            if (reader.session == session)
-                reader.done = true;
-    }
-    readerDone_.notify_all();
 }
 
-void
-Server::dispatcherMain()
+Status
+Server::admit(QueuedRequest item)
 {
-    QueuedRequest item;
-    for (;;) {
-        if (queue_.pop(&item, 200)) {
+    // Checked and submitted under one lock, so no submit can race the
+    // drain closing the gate.
+    std::lock_guard<std::mutex> lock(admissionMutex_);
+    if (admissionsClosed_)
+        return Status::interrupted(
+            "the daemon is draining; request not admitted");
+    if (waiting_ >= options_.queueCapacity)
+        return Status::overloaded("request queue is full (" +
+                                  std::to_string(options_.queueCapacity) +
+                                  " queued); retry later");
+    ++waiting_;
+    dispatchers_->submit(
+        [this, item = std::move(item)]() mutable {
             handle(std::move(item));
-            item = QueuedRequest();
-        } else if (queue_.closed()) {
-            break;
-        }
-    }
-    {
-        std::lock_guard<std::mutex> lock(dispatcherDoneMutex_);
-        activeDispatchers_.fetch_sub(1);
-    }
-    dispatcherDone_.notify_all();
+        });
+    return Status();
 }
 
 void
@@ -298,9 +247,15 @@ Server::handle(QueuedRequest item)
 {
     const Clock::time_point now = Clock::now();
     const double queue_ms = elapsedMs(item.admitted, now);
+    bool drained;
+    {
+        std::lock_guard<std::mutex> lock(admissionMutex_);
+        --waiting_;
+        drained = admissionsClosed_;
+    }
 
     // Still queued when the drain started: answer, don't run.
-    if (drainingNow() && queue_.closed()) {
+    if (drained) {
         counters_->interruptedReplies.fetch_add(1);
         ServeResponse reply = makeRejection(
             item.request, Status::interrupted(
@@ -480,12 +435,7 @@ int
 Server::drainAndExit()
 {
     const int signum = interruptSignal();
-    if (options_.verbose)
-        std::fprintf(stderr,
-                     "[csched_serve] draining (%s); %zu queued, "
-                     "deadline %d ms\n",
-                     signum != 0 ? "signal" : "stop", queue_.size(),
-                     options_.drainDeadlineMs);
+    const std::chrono::milliseconds deadline(options_.drainDeadlineMs);
 
     // 1. No new connections, no new admissions.
     stop_.store(true);
@@ -494,19 +444,22 @@ Server::drainAndExit()
         ::unlink(options_.socketPath.c_str());
         listenFd_ = -1;
     }
-    queue_.close();
+    std::size_t queued;
+    {
+        std::lock_guard<std::mutex> lock(admissionMutex_);
+        admissionsClosed_ = true;
+        queued = waiting_;
+    }
+    if (options_.verbose)
+        std::fprintf(stderr,
+                     "[csched_serve] draining (%s); %zu queued, "
+                     "deadline %d ms\n",
+                     signum != 0 ? "signal" : "stop", queued,
+                     options_.drainDeadlineMs);
 
     // 2. In-flight grace: dispatchers finish their current job and
     //    answer the queued backlog with `interrupted`.
-    {
-        std::unique_lock<std::mutex> lock(dispatcherDoneMutex_);
-        dispatcherDone_.wait_until(
-            lock,
-            Clock::now() +
-                std::chrono::milliseconds(options_.drainDeadlineMs),
-            [this] { return activeDispatchers_.load() == 0; });
-    }
-    if (activeDispatchers_.load() != 0) {
+    if (!dispatchers_->waitFor(deadline)) {
         // 3. Past the drain deadline: escalate to cooperative
         //    cancellation -- running jobs unwind at their next
         //    checkpoint, hung workers are killed by the watchdog.
@@ -515,33 +468,16 @@ Server::drainAndExit()
                                  "passed; escalating\n");
         escalateInterrupt();
     }
-    for (std::thread &thread : dispatcherThreads_)
-        thread.join();
-    dispatcherThreads_.clear();
+    dispatchers_.reset();
 
     // 4. Every request read so far has its reply written.  Let the
     //    clients finish the handshake: each gets `interrupted` for
     //    anything it still sends, sees the drain, and closes -- the
     //    reader exits on that EOF with nothing lost.  Only clients
     //    that outstay the drain deadline are force-closed.
-    {
-        std::unique_lock<std::mutex> lock(sessionsMutex_);
-        const bool all_done = readerDone_.wait_until(
-            lock,
-            Clock::now() +
-                std::chrono::milliseconds(options_.drainDeadlineMs),
-            [this] {
-                return std::all_of(
-                    sessions_.begin(), sessions_.end(),
-                    [](const Reader &reader) { return reader.done; });
-            });
-        if (!all_done) {
-            readersShouldExit_.store(true);
-            for (const Reader &reader : sessions_)
-                reader.session->shutdownRead();
-        }
-    }
-    reapReaders(/*all=*/true);
+    if (!readers_.waitAllDone(deadline))
+        readers_.shutdownLive(SHUT_RD);
+    readers_.joinAll();
 
     // 5. Reap the worker processes.
     pool_.reset();

@@ -5,22 +5,22 @@
  * (runner/worker.hh), and returns one structured response per request
  * -- under overload, under worker crashes, and through a drain.
  *
- * Architecture (one process, four kinds of threads):
+ * Architecture (one process, three kinds of threads):
  *
- *   accept loop (run(), caller's thread)
+ *   accept loop (run(), caller's thread; support/connection_readers.hh)
  *     -> reader thread per connection: decode frames, apply admission
- *        control, reply to rejections inline.  The session registry
- *        owns the thread; a finished reader marks its entry done and
- *        the accept loop joins it on its next tick.
- *       -> bounded RequestQueue (the backpressure boundary)
- *         -> dispatcher threads: shed aged-out requests, consult the
- *            result cache / single-flight table, run jobs in isolated
- *            workers, reply
+ *        control, reply to rejections inline.  A finished reader is
+ *        joined by the accept loop on its next tick.
+ *       -> bounded admission gate (the backpressure boundary): at most
+ *          queueCapacity admitted requests wait for a dispatcher
+ *         -> dispatcher ThreadPool (runner/thread_pool.hh): shed
+ *            aged-out requests, consult the result cache /
+ *            single-flight table, run jobs in isolated workers, reply
  *
  * Robustness properties, each with a dedicated mechanism:
  *
- *  - Admission control / backpressure: the queue is bounded; a full
- *    queue or a crash-looping pool refuses with a structured
+ *  - Admission control / backpressure: the gate is bounded; a full
+ *    gate or a crash-looping pool refuses with a structured
  *    `overloaded` reply instead of buffering unbounded work.  Each
  *    request's deadline is fixed at admission, so time spent queued
  *    counts against it and dispatchers shed aged-out requests without
@@ -55,20 +55,19 @@
 #define CSCHED_SERVE_SERVER_HH
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
+#include "runner/thread_pool.hh"
 #include "runner/worker.hh"
 #include "serve/protocol.hh"
-#include "serve/request_queue.hh"
 #include "serve/result_cache.hh"
 #include "serve/session.hh"
 #include "support/backoff.hh"
+#include "support/connection_readers.hh"
 #include "support/fault_injection.hh"
 #include "support/status.hh"
 
@@ -80,6 +79,7 @@ struct ServeOptions
     std::string socketPath;
     int workers = 2;            ///< pre-forked worker processes
     int dispatchers = 2;        ///< dispatcher threads
+    /** Admitted requests that may wait for a dispatcher; >= 1. */
     std::size_t queueCapacity = 64;
     std::size_t cacheCapacity = 128;  ///< 0 disables the result cache
     /** Deadline for requests that do not bring their own; 0 = none. */
@@ -96,6 +96,17 @@ struct ServeOptions
     bool verbose = false;       ///< lifecycle lines on stderr
     /** Armed fault plan; nullptr = none.  Borrowed, not owned. */
     const FaultPlan *faults = nullptr;
+};
+
+/** One admitted request waiting for a dispatcher. */
+struct QueuedRequest
+{
+    /** Shared: the reply flushes even after the reader exited. */
+    std::shared_ptr<Session> session;
+    ServeRequest request;
+    std::chrono::steady_clock::time_point admitted;
+    /** Fixed at admission, so queue wait counts; max() = none. */
+    std::chrono::steady_clock::time_point deadline;
 };
 
 /** Monotonic counters; a consistent-enough snapshot via stats(). */
@@ -156,23 +167,16 @@ class Server
     }
 
   private:
-    /** A session and the reader thread that serves it. */
-    struct Reader
-    {
-        std::shared_ptr<Session> session;
-        std::thread thread;
-        bool done = false;  ///< set by the reader as it exits
-    };
-
     void readerMain(std::shared_ptr<Session> session);
-    /** Join and drop the finished readers, or every reader if @p all. */
-    void reapReaders(bool all = false);
-    void dispatcherMain();
+    /** The admission gate: hand @p item to a dispatcher, or refuse
+     *  it as Interrupted (closed) or Overloaded (queueCapacity
+     *  requests wait).  Never blocks. */
+    Status admit(QueuedRequest item);
     void handle(QueuedRequest item);
     JobResult runLeader(const ServeRequest &request,
                         std::chrono::steady_clock::time_point deadline,
                         std::string *server_note);
-    /** Admission gate; fills @p why when refusing. */
+    /** Crash-loop admission check; fills @p why when refusing. */
     bool degraded(std::string *why) const;
     void noteWorkerHealth(const JobResult &result);
     bool drainingNow() const;
@@ -182,23 +186,19 @@ class Server
 
     ServeOptions options_;
     std::unique_ptr<WorkerPool> pool_;
-    RequestQueue queue_;
+    std::unique_ptr<ThreadPool> dispatchers_;
     ResultCache cache_;
     int listenFd_ = -1;
     bool started_ = false;
     bool finished_ = false;
 
     std::atomic<bool> stop_{false};
-    std::atomic<bool> readersShouldExit_{false};
 
-    std::vector<std::thread> dispatcherThreads_;
-    std::atomic<int> activeDispatchers_{0};
-    std::mutex dispatcherDoneMutex_;
-    std::condition_variable dispatcherDone_;
+    std::mutex admissionMutex_;
+    std::size_t waiting_ = 0;  ///< admitted, not yet started; guarded
+    bool admissionsClosed_ = false;  ///< set by the drain; guarded
 
-    std::mutex sessionsMutex_;
-    std::vector<Reader> sessions_;  ///< guarded by sessionsMutex_
-    std::condition_variable readerDone_;  ///< waits on sessionsMutex_
+    ConnectionReaders readers_;
     uint64_t nextSessionId_ = 0;
 
     /** Crash-loop supervision: consecutive worker deaths trip it. */

@@ -1,6 +1,5 @@
 #include "serve/session.hh"
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "support/socket.hh"
@@ -20,7 +19,7 @@ connectionScopeKey(uint64_t id)
 
 Session::Session(int fd, uint64_t id, int send_timeout_ms,
                  const FaultPlan *faults)
-    : fd_(fd), id_(id), admitScope_(faults, connectionScopeKey(id)),
+    : fd_(fd), admitScope_(faults, connectionScopeKey(id)),
       replyScope_(faults, connectionScopeKey(id))
 {
     setSendTimeout(fd_, send_timeout_ms);
@@ -49,12 +48,6 @@ Session::send(const ServeResponse &response, bool timings)
             "reply fault injected: " + err.status.message();
     }
     return writeFrame(fd_, encodeServeResponse(outgoing, timings));
-}
-
-void
-Session::shutdownRead()
-{
-    (void)::shutdown(fd_, SHUT_RD);
 }
 
 } // namespace csched

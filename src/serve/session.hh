@@ -50,7 +50,6 @@ class Session
     Session &operator=(const Session &) = delete;
 
     int fd() const { return fd_; }
-    uint64_t id() const { return id_; }
 
     /**
      * Send exactly one reply frame for @p response (possibly rewritten
@@ -67,12 +66,8 @@ class Session
      */
     FaultScope &admitScope() { return admitScope_; }
 
-    /** Half-close the read side: wakes the reader out of readFrame. */
-    void shutdownRead();
-
   private:
     const int fd_;
-    const uint64_t id_;
     std::mutex writeMutex_;
     FaultScope admitScope_;
     FaultScope replyScope_;  ///< guarded by writeMutex_

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <latch>
+
 #include "runner/grid_runner.hh"
 #include "runner/json_report.hh"
 #include "runner/thread_pool.hh"
@@ -36,6 +39,21 @@ TEST(ThreadPool, RunsEverySubmittedTask)
     pool.wait();
     for (size_t k = 0; k < done.size(); ++k)
         EXPECT_EQ(done[k], 1) << k;
+}
+
+TEST(ThreadPool, WaitForTimesOutWhileBusyAndReturnsOnceIdle)
+{
+    using std::chrono::milliseconds;
+    ThreadPool pool(2);
+    EXPECT_TRUE(pool.waitFor(milliseconds(0)));  // idle from the start
+
+    std::latch gate(1);
+    pool.submit([&gate] { gate.wait(); });
+    EXPECT_FALSE(pool.waitFor(milliseconds(50)));
+
+    gate.count_down();
+    EXPECT_TRUE(pool.waitFor(milliseconds(5000)));
+    EXPECT_TRUE(pool.waitFor(milliseconds(0)));
 }
 
 TEST(GridRunner, ExpandsWorkloadMajorAlgorithmMinor)

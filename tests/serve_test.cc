@@ -1,14 +1,14 @@
 /**
  * @file
  * Tests for the scheduler-as-a-service layer (serve/): the wire
- * protocol and its untrusted-peer hardening, the bounded admission
- * queue, the LRU + single-flight result cache, the serve-style soft
- * drain (SIGHUP as a drain trigger, double-signal escalation), and
- * end-to-end daemon behaviour on a real UNIX-domain socket -- healing
- * worker crashes with the deterministic backoff in the reply
- * diagnostic, tripping the crash-loop breaker into `overloaded`
- * rejections, replying `interrupted` to a job-level interrupt
- * without draining, and answering the queued backlog with
+ * protocol and its untrusted-peer hardening, the LRU + single-flight
+ * result cache, the serve-style soft drain (SIGHUP as a drain
+ * trigger, double-signal escalation), and end-to-end daemon behaviour
+ * on a real UNIX-domain socket -- `overloaded` backpressure from a
+ * full admission gate, healing worker crashes with the deterministic
+ * backoff in the reply diagnostic, tripping the crash-loop breaker
+ * into `overloaded` rejections, replying `interrupted` to a job-level
+ * interrupt without draining, and answering the queued backlog with
  * `interrupted` through a signal-driven drain that exits 128+signum.
  */
 
@@ -27,7 +27,6 @@
 #include "runner/job.hh"
 #include "runner/shutdown.hh"
 #include "serve/protocol.hh"
-#include "serve/request_queue.hh"
 #include "serve/result_cache.hh"
 #include "serve/server.hh"
 #include "support/fault_injection.hh"
@@ -241,52 +240,6 @@ TEST(ServeProtocol, ServeStatusCollapsesOutcomeAndError)
     crashed.outcome = JobOutcome::Failed;
     crashed.error = ErrorCode::WorkerCrashed;
     EXPECT_EQ(serveStatusOf(crashed), "worker-crashed");
-}
-
-// --- Admission queue ---------------------------------------------------
-
-QueuedRequest
-queued(uint64_t id)
-{
-    QueuedRequest item;
-    item.request = makeRequest(id, "vvmul");
-    item.admitted = Clock::now();
-    item.deadline = Clock::time_point::max();
-    return item;
-}
-
-TEST(ServeQueue, BoundedPushRefusesWhenFull)
-{
-    RequestQueue queue(2);
-    EXPECT_TRUE(queue.push(queued(1)).ok());
-    EXPECT_TRUE(queue.push(queued(2)).ok());
-
-    const Status refused = queue.push(queued(3));
-    EXPECT_EQ(refused.code(), ErrorCode::Overloaded);
-
-    QueuedRequest out;
-    ASSERT_TRUE(queue.pop(&out, 100));
-    EXPECT_EQ(out.request.id, 1u);  // FIFO
-    EXPECT_TRUE(queue.push(queued(4)).ok());
-    EXPECT_EQ(queue.size(), 2u);
-}
-
-TEST(ServeQueue, CloseHandsOutTheBacklogThenStops)
-{
-    RequestQueue queue(4);
-    EXPECT_TRUE(queue.push(queued(1)).ok());
-    EXPECT_TRUE(queue.push(queued(2)).ok());
-    queue.close();
-
-    const Status late = queue.push(queued(3));
-    EXPECT_EQ(late.code(), ErrorCode::Interrupted);
-
-    // A closed queue still drains: the backlog feeds the
-    // `interrupted` replies of the drain path.
-    QueuedRequest out;
-    EXPECT_TRUE(queue.pop(&out, 100));
-    EXPECT_TRUE(queue.pop(&out, 100));
-    EXPECT_FALSE(queue.pop(&out, 100));  // closed and empty: exit
 }
 
 // --- Result cache ------------------------------------------------------
@@ -800,6 +753,61 @@ TEST(ServeDaemon, JobLevelInterruptIsRepliedToAndNeverDrainsTheDaemon)
 
     EXPECT_FALSE(drainRequested());
     EXPECT_EQ(running.server.stats().interruptedReplies, 1u);
+    EXPECT_EQ(running.finish(), 0);
+}
+
+TEST(ServeDaemon, FullQueueRepliesOverloadedAndKeepsServing)
+{
+    InterruptGuard guard;
+    // One dispatcher and room for one waiting request; the first job
+    // stalls 600 ms at its first pass application.
+    const auto plan = mustParse(
+        "pass.apply=slow:ms=600:match=vvmul/vliw2/convergent:nth=1");
+    ServeOptions options = baseOptions(tempPath("sock"));
+    options.dispatchers = 1;
+    options.queueCapacity = 1;
+    options.faults = &plan;
+    RunningServer running(std::move(options));
+    ASSERT_TRUE(running.startOk);
+
+    const int fd = connectTo(running.server.socketPath());
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(writeFrame(fd, encodeServeRequest(
+                                   makeRequest(1, "vvmul", "convergent")))
+                    .ok());
+    // Request 1 has left the queue once its job runs; then request 2
+    // takes the one free place and request 3 finds the queue full.
+    ASSERT_TRUE(eventually(
+        [&] { return running.server.stats().jobsRun == 1; }));
+    for (const ServeRequest &request :
+         {makeRequest(2, "fir"), makeRequest(3, "fir", "convergent")})
+        ASSERT_TRUE(
+            writeFrame(fd, encodeServeRequest(request)).ok());
+
+    std::map<uint64_t, std::string> statuses;
+    for (int k = 0; k < 3; ++k) {
+        const auto reply = readReply(fd);
+        ASSERT_TRUE(reply.ok()) << reply.status().toString();
+        EXPECT_TRUE(statuses.emplace(reply->id, reply->status).second)
+            << "second reply for request " << reply->id;
+    }
+    EXPECT_EQ(statuses[1], "ok");
+    EXPECT_EQ(statuses[2], "ok");
+    EXPECT_EQ(statuses[3], "overloaded");
+
+    // The refusal cost the daemon nothing: the next request is served.
+    EXPECT_EQ(roundTrip(fd, makeRequest(4, "jacobi")).status, "ok");
+    EXPECT_EQ(readFrame(fd, 200, kServeMaxFrameBytes).kind,
+              FrameResult::Kind::Timeout)
+        << "a request got more than one reply";
+    ::close(fd);
+
+    const ServeStats stats = running.server.stats();
+    EXPECT_EQ(stats.rejectedOverloaded, 1u);
+    EXPECT_EQ(stats.admitted, 3u);
+    EXPECT_TRUE(eventually([&] {
+        return running.server.stats().repliesSent == 4;
+    }));
     EXPECT_EQ(running.finish(), 0);
 }
 

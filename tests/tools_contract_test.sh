@@ -1,22 +1,24 @@
 #!/bin/sh
-# tools_contract_test.sh CSCHED_BENCH CSCHED_CLI CSCHED_WORKERD -- pin
-# the grid front-end contract both drivers share: report byte-identity
-# across --jobs and across job executors (in-process, --isolate, and
-# --hosts against one csched_workerd this script starts), and the
-# 0/1/2 exit-code convention (0 success or --keep-going, 1 a failed
-# job, 2 a usage error caught before any job runs).  Registered in
-# ctest as a tier-2 check.
+# tools_contract_test.sh CSCHED_BENCH CSCHED_CLI CSCHED_WORKERD
+# CSCHED_SERVE -- pin the grid front-end contract both drivers share:
+# report byte-identity across --jobs and across job executors
+# (in-process, --isolate, and --hosts against one csched_workerd this
+# script starts), and the 0/1/2 exit-code convention (0 success or
+# --keep-going, 1 a failed job, 2 a usage error caught before any job
+# runs -- csched_serve's flag checks included).  Registered in ctest
+# as a tier-2 check.
 set -u
 
-if [ $# -ne 3 ]; then
-    echo "usage: $0 CSCHED_BENCH CSCHED_CLI CSCHED_WORKERD" >&2
+if [ $# -ne 4 ]; then
+    echo "usage: $0 CSCHED_BENCH CSCHED_CLI CSCHED_WORKERD CSCHED_SERVE" >&2
     exit 2
 fi
 
 bench=$1
 cli=$2
 workerd=$3
-for binary in "$bench" "$cli" "$workerd"; do
+serve=$4
+for binary in "$bench" "$cli" "$workerd" "$serve"; do
     if [ ! -x "$binary" ]; then
         echo "tools_contract: '$binary' not found or not executable" >&2
         exit 2
@@ -186,6 +188,11 @@ expect 2 "bench perf --repeats not a number" \
     "$bench" perf --repeats abc
 expect 2 "bench suite --jobs with trailing characters" \
     "$bench" suite --workloads fir --jobs 2x --quiet
+# Refused before the worker pool forks or the socket is bound.
+expect 2 "serve --dispatchers 0" \
+    "$serve" --socket "$tmp/usage.sock" --dispatchers 0
+expect 2 "serve --queue 0" \
+    "$serve" --socket "$tmp/usage.sock" --queue 0
 
 # ---- Job failures: exit 1, or 0 with --keep-going -------------------
 

@@ -378,9 +378,58 @@ serve_smoke() {
         cat "${tmp}/load.json" >&2
         exit 1
     }
+
+    # A second daemon, no faults, takes two bursts of 400 requests over
+    # 8 connections.  Its readers are joined on the accept loop's next
+    # tick, so its thread count falls back within 1 s of a burst, and
+    # its mappings stay flat from the first burst to the second: a
+    # thread per request that nobody joins would keep 400 stacks
+    # mapped, two lines each.
+    local leak_sock="${tmp}/leak.sock"
+    "${serve}" --socket "${leak_sock}" --workers 2 --dispatchers 2 &
+    local leak_pid=$!
+    for _ in $(seq 100); do
+        [ -S "${leak_sock}" ] && break
+        sleep 0.05
+    done
+    threads_of() { awk '/^Threads:/ { print $2 }' "/proc/$1/status"; }
+    # A failed check kills the daemon first: it holds this script's
+    # stdout, which a caller reading through a pipe waits on.
+    leak_fail() {
+        echo "serve smoke: $*" >&2
+        kill -KILL "${leak_pid}"
+        exit 1
+    }
+    local threads_idle maps_before maps_after
+    threads_idle=$(threads_of "${leak_pid}")
+    for burst in 1 2; do
+        "${load}" --socket "${leak_sock}" --clients 8 --requests 50 \
+            >/dev/null || leak_fail "load burst ${burst} did not balance"
+        [ "${burst}" -eq 1 ] && maps_before=$(wc -l <"/proc/${leak_pid}/maps")
+        for _ in $(seq 20); do
+            [ "$(threads_of "${leak_pid}")" -eq "${threads_idle}" ] && break
+            sleep 0.05
+        done
+        [ "$(threads_of "${leak_pid}")" -eq "${threads_idle}" ] ||
+            leak_fail "${threads_idle} threads before burst ${burst}," \
+                      "$(threads_of "${leak_pid}") 1 s after it"
+    done
+    maps_after=$(wc -l <"/proc/${leak_pid}/maps")
+    [ $((maps_after - maps_before)) -lt 100 ] ||
+        leak_fail "csched_serve maps grew from ${maps_before} to" \
+                  "${maps_after} lines over 400 requests"
+    kill -TERM "${leak_pid}"
+    local leak_code=0
+    wait "${leak_pid}" || leak_code=$?
+    if [ "${leak_code}" -ne 143 ]; then
+        echo "serve smoke: the load-burst daemon did not drain" \
+             "gracefully (exit ${leak_code})" >&2
+        exit 1
+    fi
+
     rm -rf "${tmp}"
     echo "=== serve drain smoke ok (${tag}: 143, ledger balanced," \
-         "no orphans)"
+         "no orphans, threads and maps flat across load bursts)"
 }
 
 # End-to-end distributed smoke: a two-daemon localhost fleet under

@@ -9,8 +9,9 @@
  *                              previous run are replaced)
  *     --workers N              pre-forked worker processes (default 2)
  *     --dispatchers N          dispatcher threads (default 2)
- *     --queue N                admission-queue capacity (default 64);
- *                              a full queue refuses with `overloaded`
+ *     --queue N                admitted requests that may wait for a
+ *                              dispatcher (default 64, >= 1); a full
+ *                              queue refuses with `overloaded`
  *     --cache N                result-cache entries (default 128;
  *                              0 disables memoization)
  *     --deadline-ms N          default end-to-end deadline for
@@ -145,6 +146,8 @@ main(int argc, char **argv)
         usage(argv[0], "--workers must be >= 1");
     if (options.dispatchers < 1)
         usage(argv[0], "--dispatchers must be >= 1");
+    if (options.queueCapacity < 1)
+        usage(argv[0], "--queue must be >= 1");
     if (!fault_plan.empty())
         options.faults = &fault_plan;
 
