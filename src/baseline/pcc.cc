@@ -1,11 +1,9 @@
 #include "baseline/pcc.hh"
 
 #include <algorithm>
-#include <functional>
-#include <limits>
 #include <set>
-#include <tuple>
 
+#include "sched/list_estimate.hh"
 #include "sched/list_scheduler.hh"
 #include "sched/priorities.hh"
 #include "support/fault_injection.hh"
@@ -18,135 +16,17 @@ namespace {
 /** Maximum full passes of iterative descent. */
 constexpr int kMaxDescentRounds = 8;
 
-/**
- * The estimator behind PccScheduler::estimate, with what does not
- * change between estimates of one graph computed once: the alive-pair
- * communication cost, the per-cluster issue widths and the predecessor
- * counts and the roots.  The issue buckets and the ready heap are
- * cleared, keeping their capacity, at the start of every estimate.
- * The descent calls it once per probe, with its best makespan so far
- * as the bound.
- */
-class Estimator
-{
-  public:
-    Estimator(const MachineModel &machine, const DependenceGraph &graph)
-        : machine_(machine),
-          graph_(graph),
-          width_(machine.numClusters()),
-          issued_(machine.numClusters()),
-          predCount_(graph.numInstructions()),
-          unplacedPreds_(graph.numInstructions()),
-          dataReady_(graph.numInstructions())
-    {
-        // Neighbour latency between the first two alive clusters
-        // (dead resources never host work, so they must not price the
-        // estimate).
-        const auto alive = machine.aliveClusters();
-        commCost_ =
-            alive.size() > 1 ? machine.commLatency(alive[0], alive[1]) : 1;
-        // Issue width per cluster: total FU slots, ignoring typing.
-        for (int c = 0; c < machine.numClusters(); ++c)
-            width_[c] = static_cast<int>(machine.clusterFus(c).size());
-        for (InstrId id = 0; id < graph.numInstructions(); ++id) {
-            predCount_[id] = static_cast<int>(graph.preds(id).size());
-            if (predCount_[id] == 0)
-                roots_.push_back(id);
-        }
-    }
-
-    /**
-     * Estimated makespan of @p assignment.  The running maximum finish
-     * only grows, so once it reaches @p bound the estimate stops and
-     * returns that partial maximum: some value >= @p bound, exact
-     * only below it.
-     */
-    int
-    operator()(const std::vector<int> &assignment,
-               int bound = std::numeric_limits<int>::max())
-    {
-        for (auto &slots : issued_)
-            slots.clear();
-        unplacedPreds_ = predCount_;
-        std::fill(dataReady_.begin(), dataReady_.end(), 0);
-        heap_.clear();
-        for (InstrId id : roots_)
-            push(0, id);
-
-        int makespan = 0;
-        while (!heap_.empty()) {
-            std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-            const auto [ready, neg_slack, id] = heap_.back();
-            heap_.pop_back();
-            const int cluster = assignment[id];
-            const int start = issueSlot(cluster, ready);
-            int finish =
-                start + machine_.execLatency(cluster, graph_.latency(id));
-            const auto &instr = graph_.instr(id);
-            if (isMemory(instr.op))
-                finish += machine_.memoryPenalty(instr.memBank, cluster);
-            makespan = std::max(makespan, finish);
-            if (makespan >= bound)
-                return makespan;
-            for (InstrId succ : graph_.succs(id)) {
-                const int arrival =
-                    finish + (assignment[succ] == cluster ? 0 : commCost_);
-                dataReady_[succ] = std::max(dataReady_[succ], arrival);
-                if (--unplacedPreds_[succ] == 0)
-                    push(dataReady_[succ], succ);
-            }
-        }
-        return makespan;
-    }
-
-  private:
-    /** (data-ready cycle, -slack, id): popped smallest first. */
-    using Entry = std::tuple<int, int, InstrId>;
-
-    void
-    push(int ready, InstrId id)
-    {
-        heap_.emplace_back(ready, -graph_.latestFinishSlack(id), id);
-        std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
-    }
-
-    /** First cycle from @p from with a free issue slot on @p cluster;
-     *  takes it.  The cycle-bucketed counts grow on demand. */
-    int
-    issueSlot(int cluster, int from)
-    {
-        auto &slots = issued_[cluster];
-        int cycle = from;
-        while (true) {
-            if (cycle >= static_cast<int>(slots.size()))
-                slots.resize(cycle + 1, 0);
-            if (slots[cycle] < width_[cluster]) {
-                ++slots[cycle];
-                return cycle;
-            }
-            ++cycle;
-        }
-    }
-
-    const MachineModel &machine_;
-    const DependenceGraph &graph_;
-    int commCost_ = 1;
-    std::vector<int> width_;
-    std::vector<std::vector<int>> issued_;
-    std::vector<int> predCount_;
-    std::vector<InstrId> roots_;
-    std::vector<int> unplacedPreds_;
-    std::vector<int> dataReady_;
-    std::vector<Entry> heap_;
-};
-
 } // namespace
 
-int
-PccScheduler::estimate(const DependenceGraph &graph,
-                       const std::vector<int> &assignment) const
+PccIssueModel::PccIssueModel(const DependenceGraph &graph,
+                             const MachineModel &machine)
+    : graph_(graph),
+      machine_(machine),
+      width_(machine.numClusters()),
+      issued_(machine.numClusters())
 {
-    return Estimator(machine_, graph)(assignment);
+    for (int c = 0; c < machine.numClusters(); ++c)
+        width_[c] = static_cast<int>(machine.clusterFus(c).size());
 }
 
 int
@@ -314,8 +194,9 @@ PccScheduler::run(const DependenceGraph &graph) const
         for (InstrId id : members[comp])
             assignment[id] = cluster;
     };
-    Estimator estimator(machine_, graph);
-    int best_makespan = estimator(assignment);
+    ListEstimator<PccIssueModel> estimate(graph, machine_.firstHopLatency(),
+                                          machine_);
+    int best_makespan = estimate(assignment);
 
     // A probe onto a cluster that holds no instruction sees that
     // cluster only through its issue width, its latency factor and
@@ -366,7 +247,7 @@ PccScheduler::run(const DependenceGraph &graph) const
                 place(comp, c);
                 // Only a strictly smaller makespan is kept, so the
                 // probe may stop once it reaches the best.
-                const int makespan = estimator(assignment, best_makespan);
+                const int makespan = estimate(assignment, best_makespan);
                 if (makespan < best_makespan) {
                     best_makespan = makespan;
                     best_cluster = c;

@@ -18,6 +18,10 @@
  * As in the paper's evaluation, preplacement is honoured: a component
  * containing preplaced instructions is pinned to their home cluster,
  * and component growth never mixes two homes.
+ *
+ * The descent's estimator is the list simulation Rawcc's clusterer
+ * also runs (ListEstimator, sched/list_estimate.hh); PCC's part of it
+ * is the issue model below.
  */
 
 #ifndef CSCHED_BASELINE_PCC_HH
@@ -25,28 +29,71 @@
 
 #include <vector>
 
+#include "ir/graph.hh"
 #include "machine/machine.hh"
 #include "sched/algorithm.hh"
 
 namespace csched {
 
+/**
+ * PCC's issue model for ListEstimator.  Desoli's TR guides the descent
+ * by an estimation algorithm rather than a full scheduler: each
+ * cluster issues up to its FU count per cycle (no FU typing), an
+ * instruction takes its latency stretched by the cluster's latency
+ * factor, and a preplaced memory operation placed off its home pays
+ * the remote-bank penalty (the preplacement extension the
+ * convergent-scheduling paper added).  The descent prices every
+ * cross-cluster data edge at MachineModel::firstHopLatency().
+ */
+class PccIssueModel
+{
+  public:
+    PccIssueModel(const DependenceGraph &graph, const MachineModel &machine);
+
+    void
+    reset()
+    {
+        for (auto &slots : issued_)
+            slots.clear();
+    }
+
+    /** Takes the first free issue slot of @p cluster from cycle
+     *  @p ready on; the cycle buckets grow on demand. */
+    int
+    finish(InstrId id, int cluster, int ready)
+    {
+        auto &slots = issued_[cluster];
+        int start = ready;
+        while (true) {
+            if (start >= static_cast<int>(slots.size()))
+                slots.resize(start + 1, 0);
+            if (slots[start] < width_[cluster])
+                break;
+            ++start;
+        }
+        ++slots[start];
+        const auto &instr = graph_.instr(id);
+        const int penalty = isMemory(instr.op)
+                                ? machine_.memoryPenalty(instr.memBank,
+                                                         cluster)
+                                : 0;
+        return start + machine_.execLatency(cluster, graph_.latency(id)) +
+               penalty;
+    }
+
+  private:
+    const DependenceGraph &graph_;
+    const MachineModel &machine_;
+    /** Issue slots per cycle of each cluster: its FU count. */
+    std::vector<int> width_;
+    /** Instructions issued per cycle of each cluster. */
+    std::vector<std::vector<int>> issued_;
+};
+
 /** Partial-component clustering baseline. */
 class PccScheduler : public SchedulingAlgorithm
 {
   public:
-    /**
-     * The schedule-length estimator that guides the iterative
-     * descent, as Desoli's TR uses an estimation algorithm rather
-     * than a full scheduler: issue-width-limited list simulation per
-     * cluster (no FU typing), a fixed one-hop communication cost per
-     * cross-cluster data edge, and the remote-bank penalty for
-     * preplaced memory operations placed off their home (the
-     * preplacement extension the convergent-scheduling paper added).
-     * Exposed for tests.
-     */
-    int estimate(const DependenceGraph &graph,
-                 const std::vector<int> &assignment) const;
-
     explicit PccScheduler(const MachineModel &machine);
 
     std::string name() const override { return "PCC"; }

@@ -11,16 +11,49 @@
  * parallel completion time on an idealised machine (one FU per
  * cluster, unbounded clusters, fixed inter-cluster communication
  * cost).  Clusters never mix two different preplacement homes.
+ *
+ * The estimate is the list simulation PCC's descent also runs
+ * (ListEstimator, sched/list_estimate.hh); Rawcc's part of it is the
+ * issue model below.
  */
 
 #ifndef CSCHED_BASELINE_RAWCC_CLUSTERER_HH
 #define CSCHED_BASELINE_RAWCC_CLUSTERER_HH
 
+#include <algorithm>
 #include <vector>
 
 #include "ir/graph.hh"
 
 namespace csched {
+
+/**
+ * Rawcc's issue model for ListEstimator: each virtual cluster is one
+ * serial, unpipelined FU, so an instruction starts once its operands
+ * are ready and its cluster's previous instruction has finished, and
+ * holds the FU for its latency.
+ */
+class RawccIssueModel
+{
+  public:
+    /** Virtual cluster ids must be below @p num_clusters. */
+    RawccIssueModel(const DependenceGraph &graph, int num_clusters);
+
+    void reset() { std::fill(clusterFree_.begin(), clusterFree_.end(), 0); }
+
+    int
+    finish(InstrId id, int cluster, int ready)
+    {
+        const int start = std::max(ready, clusterFree_[cluster]);
+        return clusterFree_[cluster] = start + latency_[id];
+    }
+
+  private:
+    /** Latency per instruction, cached for the estimator's pop loop. */
+    std::vector<int> latency_;
+    /** First cycle each virtual cluster's FU is free. */
+    std::vector<int> clusterFree_;
+};
 
 /** Result of clustering: dense virtual-cluster ids per instruction. */
 struct ClusteringResult
@@ -34,18 +67,9 @@ struct ClusteringResult
 
 /**
  * Cluster @p graph with inter-cluster communication cost
- * @p comm_cost (use the machine's neighbour latency).
+ * @p comm_cost (the machine's firstHopLatency()).
  */
 ClusteringResult rawccCluster(const DependenceGraph &graph, int comm_cost);
-
-/**
- * Estimated makespan of @p clustering on the idealised machine: one
- * FU per virtual cluster, unbounded clusters, @p comm_cost cycles for
- * every cross-cluster data edge.  Exposed for tests.
- */
-int estimateClusteredMakespan(const DependenceGraph &graph,
-                              const std::vector<int> &cluster_of,
-                              int comm_cost);
 
 } // namespace csched
 

@@ -16,15 +16,10 @@ RawccPartitioner::RawccPartitioner(const MachineModel &machine)
 std::vector<int>
 RawccPartitioner::assign(const DependenceGraph &graph) const
 {
-    // The clusterer's communication cost is the machine's neighbour
-    // latency: the cheapest cross-cluster hop a value can take.  On a
-    // degraded machine only alive tiles count -- both for the cost
-    // and for the merge budget, since dead tiles can't host work.
-    const auto alive = machine_.aliveClusters();
-    const int comm_cost =
-        alive.size() > 1 ? machine_.commLatency(alive[0], alive[1]) : 1;
-
-    const auto clustered = rawccCluster(graph, comm_cost);
+    // On a degraded machine only alive tiles count, both for the
+    // clusterer's communication cost and for the merge budget, since
+    // dead tiles can't host work.
+    const auto clustered = rawccCluster(graph, machine_.firstHopLatency());
     const auto merged =
         mergeClusters(graph, clustered, machine_.numAliveClusters());
     return placeClusters(graph, machine_, merged);

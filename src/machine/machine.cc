@@ -15,17 +15,6 @@ MachineModel::canExecute(int cluster, Opcode op) const
     return false;
 }
 
-std::vector<int>
-MachineModel::aliveClusters() const
-{
-    std::vector<int> alive;
-    alive.reserve(numClusters());
-    for (int c = 0; c < numClusters(); ++c)
-        if (clusterAlive(c))
-            alive.push_back(c);
-    return alive;
-}
-
 int
 MachineModel::firstAliveCluster() const
 {
@@ -33,6 +22,16 @@ MachineModel::firstAliveCluster() const
         if (clusterAlive(c))
             return c;
     CSCHED_PANIC("machine has no alive cluster");
+}
+
+int
+MachineModel::firstHopLatency() const
+{
+    const int first = firstAliveCluster();
+    for (int c = first + 1; c < numClusters(); ++c)
+        if (clusterAlive(c))
+            return commLatency(first, c);
+    return 1;
 }
 
 int

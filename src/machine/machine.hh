@@ -111,11 +111,16 @@ class MachineModel
     /** True when any cluster of the machine is dead. */
     bool degraded() const { return numAliveClusters() != numClusters(); }
 
-    /** Alive cluster ids, ascending (setup paths only; not cached). */
-    std::vector<int> aliveClusters() const;
-
     /** Smallest alive cluster id. */
     int firstAliveCluster() const;
+
+    /**
+     * commLatency() from the smallest alive cluster to the next alive
+     * one, or 1 when only one is alive: the fixed cross-cluster cost
+     * of the PCC and Rawcc estimators (dead clusters never host work,
+     * so they must not price it).
+     */
+    int firstHopLatency() const;
 
     /**
      * Cluster owning memory bank @p bank (banks interleave); on a

@@ -32,8 +32,10 @@ TEST(UasLargeMesh, MeshSchedulesMatchRecordedDigests)
         expectRecordedDigest("uas", entry);
 }
 
-// Plus the slowest small PCC cell: on fpppp-kernel the descent keeps
+// Plus the slowest small PCC cells: on fpppp-kernel the descent keeps
 // many moves, and every free component has occupied tiles to probe.
+// The cell with a bank count builds the kernel as the suite does, one
+// bank per cluster.
 TEST(PccLargeMesh, MeshSchedulesMatchRecordedDigests)
 {
     const RecordedDigest recorded[] = {
@@ -41,11 +43,13 @@ TEST(PccLargeMesh, MeshSchedulesMatchRecordedDigests)
         {kFaulted, "tomcatv", 0x14fe6003bf4b29a6ull},
         {"raw8x8/faults=seed:2,tiles:5%,slow:20%", "fpppp-kernel",
          0x7d06181b384d5dbeull},
+        {"raw8x8", "fpppp-kernel", 0x6c0628bd9951519bull, 64},
     };
     for (const auto &entry : recorded)
         expectRecordedDigest("pcc", entry);
 }
 
+// Plus the slowest small Rawcc cells, built with one bank per cluster.
 TEST(RawccLargeMesh, MeshSchedulesMatchRecordedDigests)
 {
     const RecordedDigest recorded[] = {
@@ -55,6 +59,8 @@ TEST(RawccLargeMesh, MeshSchedulesMatchRecordedDigests)
         {kFaulted, "mxm", 0x7c398a56c346d0c4ull},
         {kFaulted, "tomcatv", 0xb854e0623bb048ddull},
         {kFaulted, "fpppp-kernel", 0x071a399d0d3310a8ull},
+        {"raw8x8", "mxm", 0x76a9d28473efd2ecull, 64},
+        {"raw8x8", "tomcatv", 0xd06b9a3f9c37e919ull, 64},
     };
     for (const auto &entry : recorded)
         expectRecordedDigest("rawcc", entry);

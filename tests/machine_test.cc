@@ -303,6 +303,18 @@ TEST(DegradedRaw, DeadDirectedLinkIsOneWay)
     EXPECT_EQ((*machine)->commLatency(1, 0), 3);
 }
 
+TEST(DegradedRaw, FirstHopLatencySkipsDeadTiles)
+{
+    EXPECT_EQ(RawMachine(4, 4).firstHopLatency(), 3);
+    // Tiles 0 and 1 dead: the hop from tile 2 to tile 3.  Killing the
+    // eastbound link out of tile 2 too makes that hop detour.
+    auto machine = tryParseMachineSpec("raw4x4/faults=tiles:0+1,links:8");
+    ASSERT_TRUE(machine.ok()) << machine.status().toString();
+    EXPECT_EQ((*machine)->firstHopLatency(), 5);
+    EXPECT_EQ((*machine)->firstHopLatency(), (*machine)->commLatency(2, 3));
+    EXPECT_EQ(ClusteredVliwMachine(1).firstHopLatency(), 1);
+}
+
 TEST(DegradedRaw, DisconnectedMeshIsRejected)
 {
     // Killing tiles 1 and 2 on a 2x2 mesh leaves 0 and 3 with no

@@ -14,12 +14,22 @@
 #include "machine/clustered_vliw.hh"
 #include "machine/machine_spec.hh"
 #include "machine/raw_machine.hh"
+#include "sched/list_estimate.hh"
 #include "sched/schedule_checker.hh"
 #include "schedule_digest.hh"
 #include "workloads/workloads.hh"
 
 namespace csched {
 namespace {
+
+/** PCC's estimate of @p assignment, as its descent computes it. */
+int
+pccEstimate(const MachineModel &machine, const DependenceGraph &graph,
+            const std::vector<int> &assignment)
+{
+    return ListEstimator<PccIssueModel>(graph, machine.firstHopLatency(),
+                                        machine)(assignment);
+}
 
 TEST(Pcc, ComponentsCoverEveryInstructionWithinCap)
 {
@@ -87,11 +97,10 @@ TEST(Pcc, EstimatorLowerBoundsChains)
     prev = builder.op(Opcode::FAdd, {prev});
     const auto graph = builder.build();
     const ClusteredVliwMachine vliw(4);
-    const PccScheduler pcc(vliw);
     // Same-cluster chain: 4 + 4.
-    EXPECT_EQ(pcc.estimate(graph, {0, 0}), 8);
+    EXPECT_EQ(pccEstimate(vliw, graph, {0, 0}), 8);
     // Split chain pays the one-cycle copy.
-    EXPECT_EQ(pcc.estimate(graph, {0, 1}), 9);
+    EXPECT_EQ(pccEstimate(vliw, graph, {0, 1}), 9);
 }
 
 TEST(Pcc, EstimatorModelsIssueWidth)
@@ -101,10 +110,9 @@ TEST(Pcc, EstimatorModelsIssueWidth)
         builder.op(Opcode::IAdd);
     const auto graph = builder.build();
     const ClusteredVliwMachine vliw(1);
-    const PccScheduler pcc(vliw);
     // Width 4 per cluster: eight one-cycle adds need two issue
     // rounds, finishing at cycle 2.
-    EXPECT_EQ(pcc.estimate(graph, std::vector<int>(8, 0)), 2);
+    EXPECT_EQ(pccEstimate(vliw, graph, std::vector<int>(8, 0)), 2);
 }
 
 TEST(Pcc, EstimatorChargesRemoteMemory)
@@ -113,9 +121,8 @@ TEST(Pcc, EstimatorChargesRemoteMemory)
     builder.load(1);
     const auto graph = builder.build();
     const ClusteredVliwMachine vliw(4);
-    const PccScheduler pcc(vliw);
-    EXPECT_EQ(pcc.estimate(graph, {1}), 2);  // local bank
-    EXPECT_EQ(pcc.estimate(graph, {0}), 3);  // +1 remote
+    EXPECT_EQ(pccEstimate(vliw, graph, {1}), 2);  // local bank
+    EXPECT_EQ(pccEstimate(vliw, graph, {0}), 3);  // +1 remote
 }
 
 TEST(Pcc, EndToEndLegalAndPreplacementSafe)
@@ -150,8 +157,8 @@ TEST(Pcc, DescentDoesNotRegressEstimate)
     for (InstrId id = 0; id < graph.numInstructions(); ++id)
         if (graph.instr(id).preplaced())
             naive[id] = graph.instr(id).homeCluster;
-    EXPECT_LE(pcc.estimate(graph, schedule.assignment()),
-              pcc.estimate(graph, naive));
+    EXPECT_LE(pccEstimate(vliw, graph, schedule.assignment()),
+              pccEstimate(vliw, graph, naive));
 }
 
 // The descent probes one cluster per class of empty clusters; a
@@ -195,7 +202,8 @@ TEST(Pcc, DescentTellsSlowEmptyTilesFromFastOnes)
 // exercise the one-probe-per-class-of-empty-cluster shortcut; the
 // faulted mesh adds dead and slowed tiles, which split the classes.
 // fpppp-kernel on that mesh, where the descent keeps the most moves,
-// runs in the slower tier (PccLargeMesh).
+// runs in the slower tier (PccLargeMesh).  The cells with a bank count
+// build the kernel as the suite does, one bank per cluster.
 TEST(Pcc, MeshSchedulesMatchRecordedDigests)
 {
     const char *const kFaulted = "raw8x8/faults=seed:2,tiles:5%,slow:20%";
@@ -206,6 +214,11 @@ TEST(Pcc, MeshSchedulesMatchRecordedDigests)
         {"raw16x16", "tomcatv", 0xc99e7a24f653d812ull},
         {kFaulted, "mxm", 0x5b66f5bd5542ddedull},
         {kFaulted, "tomcatv", 0x951707ae259e6814ull},
+        {"vliw4", "mxm", 0x69fe2be21a5c3233ull, 4},
+        {"vliw4", "tomcatv", 0x4da77fa188a13a14ull, 4},
+        {"vliw4", "fpppp-kernel", 0x1658cba9f064cbc5ull, 4},
+        {"raw8x8", "mxm", 0xa81b85603c0b9c5full, 64},
+        {"raw8x8", "tomcatv", 0x90d13ab3c844ca4eull, 64},
     };
     for (const auto &entry : recorded)
         expectRecordedDigest("pcc", entry);

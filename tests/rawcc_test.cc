@@ -15,12 +15,22 @@
 #include "ir/graph_algorithms.hh"
 #include "ir/graph_builder.hh"
 #include "machine/raw_machine.hh"
+#include "sched/list_estimate.hh"
 #include "sched/schedule_checker.hh"
 #include "schedule_digest.hh"
 #include "workloads/workloads.hh"
 
 namespace csched {
 namespace {
+
+/** Rawcc's clusterer estimate of @p cluster_of (virtual clusters 0
+ *  and 1) with @p comm_cost cycles per cross-cluster edge. */
+int
+clusteredEstimate(const DependenceGraph &graph,
+                  const std::vector<int> &cluster_of, int comm_cost)
+{
+    return ListEstimator<RawccIssueModel>(graph, comm_cost, 2)(cluster_of);
+}
 
 TEST(RawccClusterer, ChainCollapsesToOneCluster)
 {
@@ -72,9 +82,9 @@ TEST(RawccClusterer, EstimatorSerialisesWithinCluster)
     builder.op(Opcode::IAdd);
     const auto graph = builder.build();
     // Same cluster: serialised on the single FU.
-    EXPECT_EQ(estimateClusteredMakespan(graph, {0, 0}, 3), 2);
+    EXPECT_EQ(clusteredEstimate(graph, {0, 0}, 3), 2);
     // Separate clusters: fully parallel.
-    EXPECT_EQ(estimateClusteredMakespan(graph, {0, 1}, 3), 1);
+    EXPECT_EQ(clusteredEstimate(graph, {0, 1}, 3), 1);
 }
 
 TEST(RawccClusterer, EstimatorChargesCommunication)
@@ -83,8 +93,8 @@ TEST(RawccClusterer, EstimatorChargesCommunication)
     const InstrId a = builder.op(Opcode::IAdd);
     builder.op(Opcode::IAdd, {a});
     const auto graph = builder.build();
-    EXPECT_EQ(estimateClusteredMakespan(graph, {0, 0}, 3), 2);
-    EXPECT_EQ(estimateClusteredMakespan(graph, {0, 1}, 3), 5);
+    EXPECT_EQ(clusteredEstimate(graph, {0, 0}, 3), 2);
+    EXPECT_EQ(clusteredEstimate(graph, {0, 1}, 3), 5);
 }
 
 TEST(RawccMerger, ReducesToBudget)
@@ -161,7 +171,8 @@ TEST(RawccPartitioner, SpeedsUpParallelKernel)
 // full estimate and every placement swap re-summed the whole cost.
 // kFaulted has dead and slowed tiles; kDetoured also has dead links,
 // which make commLatency asymmetric, so the placer's swap delta must
-// keep each pair's (lower, higher) order.
+// keep each pair's (lower, higher) order.  The cells with a bank count
+// build the kernel as the suite does, one bank per cluster.
 TEST(Rawcc, MeshSchedulesMatchRecordedDigests)
 {
     const char *const kFaulted = "raw8x8/faults=seed:2,tiles:5%,slow:20%";
@@ -177,6 +188,10 @@ TEST(Rawcc, MeshSchedulesMatchRecordedDigests)
         {kFaulted, "fpppp-kernel", 0xe98577e0fe7391e8ull},
         {kDetoured, "mxm", 0x2a0158183bb2e166ull},
         {kDetoured, "fpppp-kernel", 0x22f7cebfc86557f7ull},
+        {"vliw4", "mxm", 0xa7301210e6d3f1eeull, 4},
+        {"vliw4", "tomcatv", 0x77201679c1550d88ull, 4},
+        {"vliw4", "fpppp-kernel", 0xa9f66a09c8364bcbull, 4},
+        {"raw8x8", "fpppp-kernel", 0x37457b82c718fcc8ull, 64},
     };
     for (const auto &entry : recorded)
         expectRecordedDigest("rawcc", entry);

@@ -1,8 +1,10 @@
 /**
  * @file
  * Test-only helpers that pin baseline schedules to recorded digests:
- * build a paper kernel the way the mesh benchmarks do (16 banks,
- * preplacement re-homed for the machine), schedule it with a named
+ * build a paper kernel with a recorded bank count (16, as the mesh
+ * benchmarks do, unless a cell names another; the suite uses one bank
+ * per cluster), re-home its preplacement for the machine, schedule it
+ * with a named
  * algorithm, and fold every placement and every communication event
  * into one 64-bit hash.  The hash itself (Fnv1a) also pins the edge
  * lists of graph_digest_test.cc.
@@ -67,12 +69,16 @@ scheduleDigest(const Schedule &schedule)
     return mix.hash;
 }
 
-/** One recorded schedule: a kernel on a machine spec, and its digest. */
+/**
+ * One recorded schedule: a kernel built with @c banks memory banks on
+ * a machine spec, and its digest.
+ */
 struct RecordedDigest
 {
     const char *machine;
     const char *kernel;
     uint64_t digest;
+    int banks = 16;
 };
 
 /**
@@ -87,14 +93,16 @@ expectRecordedDigest(const char *algorithm, const RecordedDigest &recorded)
     ASSERT_TRUE(machine.ok()) << recorded.machine;
     const auto spec = parseAlgorithmSpec(algorithm);
     ASSERT_TRUE(spec.has_value()) << algorithm;
-    DependenceGraph graph =
-        findWorkload(recorded.kernel).build(16, (*machine)->numClusters());
+    DependenceGraph graph = findWorkload(recorded.kernel)
+                                .build(recorded.banks,
+                                       (*machine)->numClusters());
     remapPreplacedForMachine(graph, **machine);
     const Schedule schedule =
         makeAlgorithm(*spec, **machine)->schedule(graph);
     EXPECT_EQ(scheduleDigest(schedule), recorded.digest)
-        << algorithm << " " << recorded.kernel << " on "
-        << recorded.machine << ": digest 0x"
+        << algorithm << " " << recorded.kernel << " ("
+        << recorded.banks << " banks) on " << recorded.machine
+        << ": digest 0x"
         << std::hex << scheduleDigest(schedule) << std::dec
         << ", makespan " << schedule.makespan();
 }

@@ -311,6 +311,10 @@ serve_smoke() {
     echo "=== serve drain smoke (${tag})"
     local tmp
     tmp="$(mktemp -d)"
+    # Any exit, a failed check's too, kills what this smoke started (all
+    # of it names ${tmp} in its argv): a daemon holds this script's
+    # stdout, which a caller reading through a pipe waits on.
+    trap "pkill -KILL -f '${tmp}' || true" EXIT
     local sock="${tmp}/serve.sock"
 
     # --cache 0 so every admitted request runs a real job, which keeps
@@ -393,11 +397,8 @@ serve_smoke() {
         sleep 0.05
     done
     threads_of() { awk '/^Threads:/ { print $2 }' "/proc/$1/status"; }
-    # A failed check kills the daemon first: it holds this script's
-    # stdout, which a caller reading through a pipe waits on.
     leak_fail() {
         echo "serve smoke: $*" >&2
-        kill -KILL "${leak_pid}"
         exit 1
     }
     local threads_idle maps_before maps_after
@@ -427,6 +428,7 @@ serve_smoke() {
         exit 1
     fi
 
+    trap - EXIT
     rm -rf "${tmp}"
     echo "=== serve drain smoke ok (${tag}: 143, ledger balanced," \
          "no orphans, threads and maps flat across load bursts)"
@@ -446,6 +448,10 @@ dist_smoke() {
     echo "=== dist fleet smoke (${tag})"
     local tmp
     tmp="$(mktemp -d)"
+    # Any exit, a failed check's too, kills the fleet and the grid (all
+    # name ${tmp} in their argv): a daemon holds this script's stdout,
+    # which a caller reading through a pipe waits on.
+    trap "pkill -KILL -f '${tmp}' || true" EXIT
     local args=(--workloads fir,vvmul,jacobi,mxm --machines vliw2,vliw4
                 --algorithms uas,convergent --jobs 4 --quiet
                 --no-timings)
@@ -523,6 +529,7 @@ dist_smoke() {
         pgrep -af "${tmp}" >&2
         exit 1
     fi
+    trap - EXIT
     rm -rf "${tmp}"
     echo "=== dist fleet smoke ok (${tag}: partition + SIGKILL healed," \
          "byte-identical report, no orphans)"
