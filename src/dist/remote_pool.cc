@@ -1,7 +1,6 @@
 #include "dist/remote_pool.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -164,12 +163,7 @@ struct RemoteWorkerPool::Lease
 
 struct RemoteWorkerPool::Counters
 {
-    std::atomic<uint64_t> dispatches{0};
-    std::atomic<uint64_t> steals{0};
-    std::atomic<uint64_t> staleResults{0};
-    std::atomic<uint64_t> hostLosses{0};
-    std::atomic<uint64_t> reconnects{0};
-    std::atomic<uint64_t> leaseReassignments{0};
+    CSCHED_DIST_COUNTERS(CSCHED_COUNTER_ATOMIC)
 };
 
 RemoteWorkerPool::RemoteWorkerPool(DistOptions options)
@@ -320,6 +314,7 @@ RemoteWorkerPool::connectionLost(Host &host, uint64_t generation,
     if (const int cooldown = host.quarantine.failure()) {
         // Crash loop: quarantine for the breaker's cooldown, then
         // re-admit on probation.
+        counters_->quarantines.fetch_add(1);
         host.nextReconnectAt =
             now + std::chrono::milliseconds(cooldown);
     } else {
@@ -635,15 +630,7 @@ DistStats
 RemoteWorkerPool::stats() const
 {
     DistStats out;
-    out.dispatches = counters_->dispatches.load();
-    out.steals = counters_->steals.load();
-    out.staleResults = counters_->staleResults.load();
-    out.hostLosses = counters_->hostLosses.load();
-    out.reconnects = counters_->reconnects.load();
-    out.leaseReassignments = counters_->leaseReassignments.load();
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &host : hosts_)
-        out.quarantines += host->quarantine.trips();
+    CSCHED_DIST_COUNTERS(CSCHED_COUNTER_LOAD)
     return out;
 }
 

@@ -74,6 +74,7 @@
 #include <vector>
 
 #include "dist/protocol.hh"
+#include "support/counters.hh"
 
 namespace csched {
 
@@ -119,16 +120,24 @@ struct DistOptions
                                  const std::string &text);
 };
 
+/**
+ * The --hosts client's health/observability counters, one entry
+ * each.  Expanded (support/counters.hh) into DistStats,
+ * RemoteWorkerPool's atomic twin and RemoteWorkerPool::stats().
+ */
+#define CSCHED_DIST_COUNTERS(X)                                         \
+    X(dispatches)         /* job frames sent (incl. steals) */          \
+    X(steals)             /* speculative re-dispatches */               \
+    X(staleResults)       /* results that lost the race */              \
+    X(hostLosses)         /* connections declared lost */               \
+    X(reconnects)         /* successful (re)handshakes */               \
+    X(quarantines)        /* crash-loop trips */                        \
+    X(leaseReassignments) /* dispatches redone elsewhere */
+
 /** Health/observability counters, snapshot via stats(). */
 struct DistStats
 {
-    uint64_t dispatches = 0;       ///< job frames sent (incl. steals)
-    uint64_t steals = 0;           ///< speculative re-dispatches
-    uint64_t staleResults = 0;     ///< results that lost the race
-    uint64_t hostLosses = 0;       ///< connections declared lost
-    uint64_t reconnects = 0;       ///< successful (re)handshakes
-    uint64_t quarantines = 0;      ///< crash-loop trips
-    uint64_t leaseReassignments = 0;  ///< dispatches redone elsewhere
+    CSCHED_DIST_COUNTERS(CSCHED_COUNTER_FIELD)
 };
 
 /**
@@ -178,7 +187,7 @@ class RemoteWorkerPool final : public JobExecutor
     uint64_t nextDispatchId_ = 1;
 
     DistOptions options_;
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::condition_variable stateChanged_;
     std::vector<std::shared_ptr<Host>> hosts_;
     std::map<uint64_t, Lease *> pending_;  ///< dispatch id -> lease

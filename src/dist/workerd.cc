@@ -51,15 +51,7 @@ struct WorkerdServer::Connection
 /** The WorkerdStats fields in atomic form. */
 struct WorkerdServer::Counters
 {
-    std::atomic<uint64_t> connections{0};
-    std::atomic<uint64_t> handshakeFailures{0};
-    std::atomic<uint64_t> malformedFrames{0};
-    std::atomic<uint64_t> oversizedFrames{0};
-    std::atomic<uint64_t> invalidMessages{0};
-    std::atomic<uint64_t> pings{0};
-    std::atomic<uint64_t> jobsRun{0};
-    std::atomic<uint64_t> resultsSent{0};
-    std::atomic<uint64_t> resultsDropped{0};
+    CSCHED_WORKERD_COUNTERS(CSCHED_COUNTER_ATOMIC)
 };
 
 WorkerdServer::WorkerdServer(WorkerdOptions options)
@@ -315,15 +307,7 @@ WorkerdStats
 WorkerdServer::stats() const
 {
     WorkerdStats out;
-    out.connections = counters_->connections.load();
-    out.handshakeFailures = counters_->handshakeFailures.load();
-    out.malformedFrames = counters_->malformedFrames.load();
-    out.oversizedFrames = counters_->oversizedFrames.load();
-    out.invalidMessages = counters_->invalidMessages.load();
-    out.pings = counters_->pings.load();
-    out.jobsRun = counters_->jobsRun.load();
-    out.resultsSent = counters_->resultsSent.load();
-    out.resultsDropped = counters_->resultsDropped.load();
+    CSCHED_WORKERD_COUNTERS(CSCHED_COUNTER_LOAD)
     return out;
 }
 

@@ -48,6 +48,7 @@
 
 #include "dist/protocol.hh"
 #include "support/connection_readers.hh"
+#include "support/counters.hh"
 #include "support/fault_injection.hh"
 
 namespace csched {
@@ -81,18 +82,26 @@ struct WorkerdOptions
     bool verbose = false;
 };
 
+/**
+ * The workerd's observability counters, one entry each.  Expanded
+ * (support/counters.hh) into WorkerdStats, WorkerdServer's atomic
+ * twin and WorkerdServer::stats().
+ */
+#define CSCHED_WORKERD_COUNTERS(X)                                      \
+    X(connections)                                                      \
+    X(handshakeFailures)                                                \
+    X(malformedFrames)                                                  \
+    X(oversizedFrames)                                                  \
+    X(invalidMessages)                                                  \
+    X(pings)                                                            \
+    X(jobsRun)                                                          \
+    X(resultsSent)                                                      \
+    X(resultsDropped)     /* finished during/after the drain */
+
 /** Observability counters, snapshot via WorkerdServer::stats(). */
 struct WorkerdStats
 {
-    uint64_t connections = 0;
-    uint64_t handshakeFailures = 0;
-    uint64_t malformedFrames = 0;
-    uint64_t oversizedFrames = 0;
-    uint64_t invalidMessages = 0;
-    uint64_t pings = 0;
-    uint64_t jobsRun = 0;
-    uint64_t resultsSent = 0;
-    uint64_t resultsDropped = 0;  ///< finished during/after the drain
+    CSCHED_WORKERD_COUNTERS(CSCHED_COUNTER_FIELD)
 };
 
 /**

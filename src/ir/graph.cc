@@ -191,7 +191,6 @@ DependenceGraph::computeCriticalPath()
     // Walk from the root with the longest downstream chain, always
     // following a successor that stays on a longest path.
     const int n = numInstructions();
-    onCp_.assign(n, false);
     criticalPath_.clear();
 
     InstrId current = kNoInstr;
@@ -205,7 +204,6 @@ DependenceGraph::computeCriticalPath()
 
     while (current != kNoInstr) {
         criticalPath_.push_back(current);
-        onCp_[current] = true;
         InstrId next = kNoInstr;
         for (InstrId succ : succs_[current]) {
             // Stay on a longest path: the successor must account for
@@ -270,14 +268,6 @@ DependenceGraph::criticalPath() const
 {
     CSCHED_ASSERT(finalized_, "analysis query before finalize()");
     return criticalPath_;
-}
-
-bool
-DependenceGraph::onCriticalPath(InstrId id) const
-{
-    CSCHED_ASSERT(finalized_, "analysis query before finalize()");
-    checkId(id);
-    return onCp_[id];
 }
 
 std::vector<InstrId>

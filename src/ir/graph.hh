@@ -147,9 +147,6 @@ class DependenceGraph
      */
     const std::vector<InstrId> &criticalPath() const;
 
-    /** True iff @p id lies on the materialised critical path. */
-    bool onCriticalPath(InstrId id) const;
-
     /** Ids of instructions with no predecessors. */
     std::vector<InstrId> roots() const;
 
@@ -179,7 +176,6 @@ class DependenceGraph
     int maxLevel_ = 0;
     int cpl_ = 0;
     std::vector<InstrId> criticalPath_;
-    std::vector<bool> onCp_;
 };
 
 } // namespace csched

@@ -24,7 +24,6 @@ ResultCache::begin(const std::string &key)
         ticket.cached = true;
         ticket.result = entry->second.first;
         touch(key);
-        ++hits_;
         return ticket;
     }
     const auto flight = flights_.find(key);
@@ -54,7 +53,6 @@ ResultCache::finish(const std::string &key,
             while (entries_.size() > capacity_) {
                 entries_.erase(order_.back());
                 order_.pop_back();
-                ++evictions_;
             }
         }
     }
@@ -84,20 +82,6 @@ ResultCache::size() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return entries_.size();
-}
-
-std::size_t
-ResultCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-}
-
-std::size_t
-ResultCache::evictions() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return evictions_;
 }
 
 void

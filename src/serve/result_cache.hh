@@ -100,8 +100,6 @@ class ResultCache
                  JobResult *out);
 
     std::size_t size() const;
-    std::size_t hits() const;
-    std::size_t evictions() const;
 
   private:
     void touch(const std::string &key);  // mutex_ held
@@ -114,8 +112,6 @@ class ResultCache
              std::pair<JobResult, std::list<std::string>::iterator>>
         entries_;
     std::map<std::string, std::shared_ptr<Flight>> flights_;
-    std::size_t hits_ = 0;
-    std::size_t evictions_ = 0;
 };
 
 } // namespace csched

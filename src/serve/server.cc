@@ -37,23 +37,7 @@ elapsedMs(Clock::time_point since, Clock::time_point now)
 /** All the ServeStats fields in atomic form. */
 struct Server::Counters
 {
-    std::atomic<uint64_t> connections{0};
-    std::atomic<uint64_t> acceptRejected{0};
-    std::atomic<uint64_t> requestsRead{0};
-    std::atomic<uint64_t> malformedFrames{0};
-    std::atomic<uint64_t> oversizedFrames{0};
-    std::atomic<uint64_t> invalidRequests{0};
-    std::atomic<uint64_t> admitted{0};
-    std::atomic<uint64_t> rejectedOverloaded{0};
-    std::atomic<uint64_t> shedDeadline{0};
-    std::atomic<uint64_t> interruptedReplies{0};
-    std::atomic<uint64_t> cacheHits{0};
-    std::atomic<uint64_t> coalesced{0};
-    std::atomic<uint64_t> jobsRun{0};
-    std::atomic<uint64_t> workerDeaths{0};
-    std::atomic<uint64_t> healedRetries{0};
-    std::atomic<uint64_t> repliesSent{0};
-    std::atomic<uint64_t> replyWriteFailures{0};
+    CSCHED_SERVE_COUNTERS(CSCHED_COUNTER_ATOMIC)
 };
 
 Server::Server(ServeOptions options)
@@ -411,6 +395,7 @@ Server::noteWorkerHealth(const JobResult &result)
     const int cooldown = crashLoop_.failure();
     if (cooldown == 0)
         return;
+    counters_->degradeTrips.fetch_add(1);
     degradedUntilMs_.store(steadyMs() + cooldown);
     if (options_.verbose)
         std::fprintf(stderr,
@@ -492,24 +477,7 @@ ServeStats
 Server::stats() const
 {
     ServeStats out;
-    out.connections = counters_->connections.load();
-    out.acceptRejected = counters_->acceptRejected.load();
-    out.requestsRead = counters_->requestsRead.load();
-    out.malformedFrames = counters_->malformedFrames.load();
-    out.oversizedFrames = counters_->oversizedFrames.load();
-    out.invalidRequests = counters_->invalidRequests.load();
-    out.admitted = counters_->admitted.load();
-    out.rejectedOverloaded = counters_->rejectedOverloaded.load();
-    out.shedDeadline = counters_->shedDeadline.load();
-    out.interruptedReplies = counters_->interruptedReplies.load();
-    out.cacheHits = counters_->cacheHits.load();
-    out.coalesced = counters_->coalesced.load();
-    out.jobsRun = counters_->jobsRun.load();
-    out.workerDeaths = counters_->workerDeaths.load();
-    out.healedRetries = counters_->healedRetries.load();
-    out.degradeTrips = crashLoop_.trips();
-    out.repliesSent = counters_->repliesSent.load();
-    out.replyWriteFailures = counters_->replyWriteFailures.load();
+    CSCHED_SERVE_COUNTERS(CSCHED_COUNTER_LOAD)
     return out;
 }
 

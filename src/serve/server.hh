@@ -68,6 +68,7 @@
 #include "serve/session.hh"
 #include "support/backoff.hh"
 #include "support/connection_readers.hh"
+#include "support/counters.hh"
 #include "support/fault_injection.hh"
 #include "support/status.hh"
 
@@ -109,27 +110,35 @@ struct QueuedRequest
     std::chrono::steady_clock::time_point deadline;
 };
 
+/**
+ * The serve daemon's monotonic counters, one entry each.  Expanded
+ * (support/counters.hh) into ServeStats, Server's atomic twin and
+ * Server::stats().
+ */
+#define CSCHED_SERVE_COUNTERS(X)                                        \
+    X(connections)                                                      \
+    X(acceptRejected)     /* serve.accept fault closures */             \
+    X(requestsRead)       /* frames that decoded to requests */         \
+    X(malformedFrames)                                                  \
+    X(oversizedFrames)                                                  \
+    X(invalidRequests)                                                  \
+    X(admitted)                                                         \
+    X(rejectedOverloaded)                                               \
+    X(shedDeadline)       /* aged out in queue / follower wait */       \
+    X(interruptedReplies)                                               \
+    X(cacheHits)                                                        \
+    X(coalesced)                                                        \
+    X(jobsRun)                                                          \
+    X(workerDeaths)       /* terminal worker-death results */           \
+    X(healedRetries)      /* ok after >= 1 dead worker */               \
+    X(degradeTrips)       /* crash-loop breaker trips */                \
+    X(repliesSent)                                                      \
+    X(replyWriteFailures)
+
 /** Monotonic counters; a consistent-enough snapshot via stats(). */
 struct ServeStats
 {
-    uint64_t connections = 0;
-    uint64_t acceptRejected = 0;  ///< serve.accept fault closures
-    uint64_t requestsRead = 0;    ///< frames that decoded to requests
-    uint64_t malformedFrames = 0;
-    uint64_t oversizedFrames = 0;
-    uint64_t invalidRequests = 0;
-    uint64_t admitted = 0;
-    uint64_t rejectedOverloaded = 0;
-    uint64_t shedDeadline = 0;    ///< aged out in queue / follower wait
-    uint64_t interruptedReplies = 0;
-    uint64_t cacheHits = 0;
-    uint64_t coalesced = 0;
-    uint64_t jobsRun = 0;
-    uint64_t workerDeaths = 0;    ///< terminal worker-death results
-    uint64_t healedRetries = 0;   ///< ok after >= 1 dead worker
-    uint64_t degradeTrips = 0;
-    uint64_t repliesSent = 0;
-    uint64_t replyWriteFailures = 0;
+    CSCHED_SERVE_COUNTERS(CSCHED_COUNTER_FIELD)
 };
 
 class Server

@@ -35,11 +35,4 @@ CrashLoopBreaker::success()
     run_ = 0;
 }
 
-uint64_t
-CrashLoopBreaker::trips() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return trips_;
-}
-
 } // namespace csched

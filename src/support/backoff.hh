@@ -51,15 +51,14 @@ class CrashLoopBreaker
     int failure();
     /** A success ends the run of failures. */
     void success();
-    uint64_t trips() const;
 
   private:
     const std::string key_;
     const int threshold_;
     const int cooldownMs_;
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     int run_ = 0;
-    uint64_t trips_ = 0;
+    uint64_t trips_ = 0;  ///< indexes the cooldown's jitter
 };
 
 } // namespace csched

@@ -384,11 +384,11 @@ serve_smoke() {
     }
 
     # A second daemon, no faults, takes two bursts of 400 requests over
-    # 8 connections.  Its readers are joined on the accept loop's next
-    # tick, so its thread count falls back within 1 s of a burst, and
-    # its mappings stay flat from the first burst to the second: a
-    # thread per request that nobody joins would keep 400 stacks
-    # mapped, two lines each.
+    # 100 short connections.  Its readers are joined on the accept
+    # loop's next tick, so its thread count falls back within 1 s of a
+    # burst, and its mappings stay flat from the first burst to the
+    # second: a reader per connection, or a thread per request, that
+    # nobody joins keeps its stack mapped, two lines each.
     local leak_sock="${tmp}/leak.sock"
     "${serve}" --socket "${leak_sock}" --workers 2 --dispatchers 2 &
     local leak_pid=$!
@@ -404,7 +404,7 @@ serve_smoke() {
     local threads_idle maps_before maps_after
     threads_idle=$(threads_of "${leak_pid}")
     for burst in 1 2; do
-        "${load}" --socket "${leak_sock}" --clients 8 --requests 50 \
+        "${load}" --socket "${leak_sock}" --clients 100 --requests 4 \
             >/dev/null || leak_fail "load burst ${burst} did not balance"
         [ "${burst}" -eq 1 ] && maps_before=$(wc -l <"/proc/${leak_pid}/maps")
         for _ in $(seq 20); do
@@ -418,7 +418,7 @@ serve_smoke() {
     maps_after=$(wc -l <"/proc/${leak_pid}/maps")
     [ $((maps_after - maps_before)) -lt 100 ] ||
         leak_fail "csched_serve maps grew from ${maps_before} to" \
-                  "${maps_after} lines over 400 requests"
+                  "${maps_after} lines over the second 400 requests"
     kill -TERM "${leak_pid}"
     local leak_code=0
     wait "${leak_pid}" || leak_code=$?
@@ -500,17 +500,21 @@ dist_smoke() {
         exit 1
     }
 
-    # The survivor's memory must not grow with jobs served: 400 more
-    # jobs over 8 connections.  A thread per job or per connection
-    # that nobody joins keeps its stack mapped (two maps lines each).
+    # The survivor's memory must not grow with jobs served: two bursts
+    # of 400 jobs over 100 short connections, measured from the end of
+    # the first (which maps the 100 concurrent readers' stacks once).
+    # A thread per job or per connection that nobody joins keeps its
+    # stack mapped (two maps lines each).
+    local burst=("${build_dir}/tools/csched_load" --clients 100
+                 --requests 4 --endpoint "127.0.0.1:$(cat "${tmp}/b.port")")
     local maps_before maps_after
+    "${burst[@]}" >/dev/null
     maps_before=$(wc -l <"/proc/${pid_b}/maps")
-    "${build_dir}/tools/csched_load" --clients 8 --requests 50 \
-        --endpoint "127.0.0.1:$(cat "${tmp}/b.port")" >/dev/null
+    "${burst[@]}" >/dev/null
     maps_after=$(wc -l <"/proc/${pid_b}/maps")
     if [ $((maps_after - maps_before)) -ge 100 ]; then
         echo "dist smoke: workerd maps grew from ${maps_before} to" \
-             "${maps_after} lines over 400 jobs" >&2
+             "${maps_after} lines over the second 400 jobs" >&2
         exit 1
     fi
 
