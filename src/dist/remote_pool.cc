@@ -161,14 +161,8 @@ struct RemoteWorkerPool::Lease
     BaselineMemo memo;
 };
 
-struct RemoteWorkerPool::Counters
-{
-    CSCHED_DIST_COUNTERS(CSCHED_COUNTER_ATOMIC)
-};
-
 RemoteWorkerPool::RemoteWorkerPool(DistOptions options)
-    : options_(std::move(options)),
-      counters_(std::make_unique<Counters>())
+    : options_(std::move(options))
 {
 }
 
@@ -294,7 +288,7 @@ RemoteWorkerPool::connectionLost(Host &host, uint64_t generation,
     if (host.generation != generation)
         return;  // already handled by someone faster
     ++host.generation;
-    counters_->hostLosses.fetch_add(1);
+    counters_.hostLosses.fetch_add(1);
     if (host.fd >= 0) {
         ::shutdown(host.fd, SHUT_RDWR);
         host.fd = -1;  // the reader thread owns the close
@@ -314,7 +308,7 @@ RemoteWorkerPool::connectionLost(Host &host, uint64_t generation,
     if (const int cooldown = host.quarantine.failure()) {
         // Crash loop: quarantine for the breaker's cooldown, then
         // re-admit on probation.
-        counters_->quarantines.fetch_add(1);
+        counters_.quarantines.fetch_add(1);
         host.nextReconnectAt =
             now + std::chrono::milliseconds(cooldown);
     } else {
@@ -347,7 +341,7 @@ RemoteWorkerPool::failHostLeasesLocked(Host &host)
         it = pending_.erase(it);
         if (lease->outstanding.empty() && !lease->done) {
             lease->lost = true;
-            counters_->leaseReassignments.fetch_add(1);
+            counters_.leaseReassignments.fetch_add(1);
             lease->cv.notify_all();
         }
     }
@@ -377,7 +371,7 @@ RemoteWorkerPool::readerMain(std::shared_ptr<Host> host, int fd,
                     host->nextPingAt = Clock::now();
                     host->quarantine.success();
                     host->reconnectAttempt = 0;
-                    counters_->reconnects.fetch_add(1);
+                    counters_.reconnects.fetch_add(1);
                     welcomed = true;
                     stateChanged_.notify_all();
                 }
@@ -413,7 +407,7 @@ RemoteWorkerPool::readerMain(std::shared_ptr<Host> host, int fd,
         if (found == pending_.end()) {
             // A steal won the race, or the lease was reassigned away;
             // this result is stale by id and simply dropped.
-            counters_->staleResults.fetch_add(1);
+            counters_.staleResults.fetch_add(1);
             continue;
         }
         Lease *lease = found->second;
@@ -621,8 +615,8 @@ RemoteWorkerPool::tryStealLocked()
         pending_[id2] = lease;
         lease->outstanding.emplace_back(id2, idle->index);
         ++idle->active;
-        counters_->steals.fetch_add(1);
-        counters_->dispatches.fetch_add(1);
+        counters_.steals.fetch_add(1);
+        counters_.dispatches.fetch_add(1);
     }
 }
 
@@ -753,7 +747,7 @@ RemoteWorkerPool::execute(const JobSpec &spec, const JobPolicy &policy,
             ++transport_losses;
             continue;
         }
-        counters_->dispatches.fetch_add(1);
+        counters_.dispatches.fetch_add(1);
         pending_[id] = &lease;
         lease.outstanding.emplace_back(id, host->index);
         lease.dispatchedAt = Clock::now();

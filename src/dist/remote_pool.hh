@@ -173,7 +173,6 @@ class RemoteWorkerPool final : public JobExecutor
 
     struct Host;
     struct Lease;
-    struct Counters;
 
     void controllerMain();
     void readerMain(std::shared_ptr<Host> host, int fd,
@@ -194,7 +193,11 @@ class RemoteWorkerPool final : public JobExecutor
     std::thread controller_;
     bool started_ = false;
     bool stopping_ = false;
-    std::unique_ptr<Counters> counters_;
+    /** The DistStats fields in atomic form. */
+    struct Counters
+    {
+        CSCHED_DIST_COUNTERS(CSCHED_COUNTER_ATOMIC)
+    } counters_;
 };
 
 } // namespace csched

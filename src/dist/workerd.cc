@@ -48,15 +48,8 @@ struct WorkerdServer::Connection
     std::mutex writeMutex;
 };
 
-/** The WorkerdStats fields in atomic form. */
-struct WorkerdServer::Counters
-{
-    CSCHED_WORKERD_COUNTERS(CSCHED_COUNTER_ATOMIC)
-};
-
 WorkerdServer::WorkerdServer(WorkerdOptions options)
-    : options_(std::move(options)),
-      counters_(std::make_unique<Counters>())
+    : options_(std::move(options))
 {
 }
 
@@ -129,7 +122,7 @@ WorkerdServer::run()
             // NODELAY each one stalls on Nagle + delayed ACK (~40 ms).
             setTcpNoDelay(fd);
             setSendTimeout(fd, options_.sendTimeoutMs);
-            counters_->connections.fetch_add(1);
+            counters_.connections.fetch_add(1);
             auto connection = std::make_shared<Connection>(fd);
             return [this, connection] { readerMain(connection); };
         });
@@ -177,16 +170,16 @@ WorkerdServer::jobMain(const std::shared_ptr<Connection> &connection,
     bool sent = false;
     if (!drainingNow()) {
         const BaselineMemo memo = frame.baselineMemo();
-        counters_->jobsRun.fetch_add(1);
+        counters_.jobsRun.fetch_add(1);
         const JobResult result = pool_->run(
             frame.spec, frame.policy(), memo.empty() ? nullptr : &memo);
         sent = !drainingNow() &&
                connection->send(encodeDistResult(id, result)).ok();
     }
     if (sent)
-        counters_->resultsSent.fetch_add(1);
+        counters_.resultsSent.fetch_add(1);
     else
-        counters_->resultsDropped.fetch_add(1);
+        counters_.resultsDropped.fetch_add(1);
 }
 
 void
@@ -207,7 +200,7 @@ WorkerdServer::readerMain(std::shared_ptr<Connection> connection)
                 welcomed = true;
         }
         if (!welcomed)
-            counters_->handshakeFailures.fetch_add(1);
+            counters_.handshakeFailures.fetch_add(1);
     }
 
     while (welcomed) {
@@ -223,11 +216,11 @@ WorkerdServer::readerMain(std::shared_ptr<Connection> connection)
         if (frame.kind == FrameResult::Kind::Oversized) {
             // The stream is no longer framed (the oversized payload
             // was not consumed); the connection is unusable.
-            counters_->oversizedFrames.fetch_add(1);
+            counters_.oversizedFrames.fetch_add(1);
             break;
         }
         if (frame.kind == FrameResult::Kind::Malformed) {
-            counters_->malformedFrames.fetch_add(1);
+            counters_.malformedFrames.fetch_add(1);
             break;
         }
 
@@ -235,11 +228,11 @@ WorkerdServer::readerMain(std::shared_ptr<Connection> connection)
         if (!decoded.ok()) {
             // Framing intact but the peer speaks something else; a
             // broken client would only keep garbling, so drop it.
-            counters_->invalidMessages.fetch_add(1);
+            counters_.invalidMessages.fetch_add(1);
             break;
         }
         if (decoded->kind == DistMessage::Kind::Ping) {
-            counters_->pings.fetch_add(1);
+            counters_.pings.fetch_add(1);
             if (!connection->send(encodeDistPong(decoded->seq)).ok())
                 break;
             continue;
@@ -252,7 +245,7 @@ WorkerdServer::readerMain(std::shared_ptr<Connection> connection)
             continue;
         }
         // A client has no business sending welcome/result/pong.
-        counters_->invalidMessages.fetch_add(1);
+        counters_.invalidMessages.fetch_add(1);
         break;
     }
 }

@@ -163,8 +163,11 @@ class WorkerdServer
 
     ConnectionReaders readers_;
 
-    struct Counters;
-    std::unique_ptr<Counters> counters_;
+    /** The WorkerdStats fields in atomic form. */
+    struct Counters
+    {
+        CSCHED_WORKERD_COUNTERS(CSCHED_COUNTER_ATOMIC)
+    } counters_;
 };
 
 } // namespace csched

@@ -12,13 +12,4 @@ spatialSteps(const std::vector<PassStep> &trace)
     return out;
 }
 
-std::vector<std::string>
-stepLabels(const std::vector<PassStep> &steps)
-{
-    std::vector<std::string> out;
-    for (const auto &step : steps)
-        out.push_back(step.pass);
-    return out;
-}
-
 } // namespace csched

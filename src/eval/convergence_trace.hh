@@ -8,7 +8,6 @@
 #ifndef CSCHED_EVAL_CONVERGENCE_TRACE_HH
 #define CSCHED_EVAL_CONVERGENCE_TRACE_HH
 
-#include <string>
 #include <vector>
 
 #include "convergent/convergent_scheduler.hh"
@@ -21,9 +20,6 @@ namespace csched {
  * temporal preferences").
  */
 std::vector<PassStep> spatialSteps(const std::vector<PassStep> &trace);
-
-/** Pass labels of @p steps, in order. */
-std::vector<std::string> stepLabels(const std::vector<PassStep> &steps);
 
 } // namespace csched
 

@@ -34,14 +34,4 @@ MachineModel::firstHopLatency() const
     return 1;
 }
 
-int
-MachineModel::numFusFor(int cluster, Opcode op) const
-{
-    int count = 0;
-    for (FuKind fu : clusterFus(cluster))
-        if (fuCanExecute(fu, op))
-            ++count;
-    return count;
-}
-
 } // namespace csched

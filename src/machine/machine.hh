@@ -149,9 +149,6 @@ class MachineModel
 
     /** True when some FU of @p cluster can issue @p op. */
     bool canExecute(int cluster, Opcode op) const;
-
-    /** Number of FUs of @p cluster that can issue @p op. */
-    int numFusFor(int cluster, Opcode op) const;
 };
 
 } // namespace csched

@@ -12,29 +12,59 @@
 
 namespace csched {
 
-void
-Timeline::commit(OnlineCommit commit)
-{
-    CSCHED_ASSERT(commit.start >= freeAt(),
-                  "online commit overlaps the timeline: start ",
-                  commit.start, " < freeAt ", freeAt());
-    CSCHED_ASSERT(commit.makespan >= 0, "negative commit makespan");
-    commits_.push_back(std::move(commit));
-}
-
-std::vector<OnlineCommit>
-Timeline::rollbackAfter(int time)
-{
-    std::vector<OnlineCommit> rolled;
-    while (!commits_.empty() && commits_.back().start > time) {
-        rolled.push_back(std::move(commits_.back()));
-        commits_.pop_back();
-    }
-    std::reverse(rolled.begin(), rolled.end());
-    return rolled;
-}
-
 namespace {
+
+/**
+ * The machine's committed timeline: an ordered sequence of exclusive
+ * occupations plus the snapshot/rollback support preemption needs.
+ * Commits must arrive in nondecreasing start order with
+ * start >= freeAt() (the driver enforces back-to-back packing).
+ */
+class Timeline
+{
+  public:
+    /** First cycle the machine is idle after every commit. */
+    int freeAt() const
+    {
+        return commits_.empty() ? 0 : commits_.back().end();
+    }
+
+    /** Append an irrevocable commit; start must be >= freeAt(). */
+    void
+    commit(OnlineCommit commit)
+    {
+        CSCHED_ASSERT(commit.start >= freeAt(),
+                      "online commit overlaps the timeline: start ",
+                      commit.start, " < freeAt ", freeAt());
+        CSCHED_ASSERT(commit.makespan >= 0, "negative commit makespan");
+        commits_.push_back(std::move(commit));
+    }
+
+    const std::vector<OnlineCommit> &commits() const { return commits_; }
+
+    /** Consume the timeline (driver teardown). */
+    std::vector<OnlineCommit> takeCommits() { return std::move(commits_); }
+
+    /**
+     * Preemption: pop every commit that has not started by @p time
+     * (start > time), newest first, and return them oldest-first so
+     * the caller can recommit.  Started commits are untouchable.
+     */
+    std::vector<OnlineCommit>
+    rollbackAfter(int time)
+    {
+        std::vector<OnlineCommit> rolled;
+        while (!commits_.empty() && commits_.back().start > time) {
+            rolled.push_back(std::move(commits_.back()));
+            commits_.pop_back();
+        }
+        std::reverse(rolled.begin(), rolled.end());
+        return rolled;
+    }
+
+  private:
+    std::vector<OnlineCommit> commits_;
+};
 
 /** A released region whose placement has been planned but not
  *  committed (or whose commit was rolled back). */
@@ -118,7 +148,7 @@ class OnlineDriver
                  const OnlinePolicySpec &policy,
                  const std::vector<RegionArrival> &arrivals,
                  const MachineModel *degraded)
-        : machine_(machine), policy_(policy), arrivals_(arrivals),
+        : policy_(policy), arrivals_(arrivals),
           degraded_(degraded), active_(&machine)
     {
     }
@@ -450,7 +480,6 @@ class OnlineDriver
             pending_.push_back(reopenCommit(std::move(commit)));
     }
 
-    const MachineModel &machine_;
     const OnlinePolicySpec &policy_;
     const std::vector<RegionArrival> &arrivals_;
     /** Post-degrade machine; null when no event is armed. */

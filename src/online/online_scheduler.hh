@@ -91,40 +91,6 @@ struct OnlineCommit
     int end() const { return start + makespan; }
 };
 
-/**
- * The machine's committed timeline: an ordered sequence of exclusive
- * occupations plus the snapshot/rollback support preemption needs.
- * Commits must arrive in nondecreasing start order with
- * start >= freeAt() (the driver enforces back-to-back packing).
- */
-class Timeline
-{
-  public:
-    /** First cycle the machine is idle after every commit. */
-    int freeAt() const
-    {
-        return commits_.empty() ? 0 : commits_.back().end();
-    }
-
-    /** Append an irrevocable commit; start must be >= freeAt(). */
-    void commit(OnlineCommit commit);
-
-    const std::vector<OnlineCommit> &commits() const { return commits_; }
-
-    /** Consume the timeline (driver teardown). */
-    std::vector<OnlineCommit> takeCommits() { return std::move(commits_); }
-
-    /**
-     * Preemption: pop every commit that has not started by @p time
-     * (start > time), newest first, and return them oldest-first so
-     * the caller can recommit.  Started commits are untouchable.
-     */
-    std::vector<OnlineCommit> rollbackAfter(int time);
-
-  private:
-    std::vector<OnlineCommit> commits_;
-};
-
 /** The full outcome of one online run. */
 struct OnlineRunResult
 {

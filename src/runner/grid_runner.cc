@@ -138,6 +138,9 @@ runJobAttempt(const JobSpec &spec, const JobPolicy &policy,
         out.assignment = run->result.schedule.assignment();
         out.seconds = run->seconds;
         out.trace = std::move(run->result.trace);
+        if (policy.keepSchedule)
+            out.schedule = std::make_shared<const Schedule>(
+                std::move(run->result.schedule));
         if (spec.computeSpeedup) {
             out.singleClusterMakespan = baseline;
             out.speedup = static_cast<double>(baseline) /
@@ -440,7 +443,8 @@ runGrid(const GridSpec &grid)
         CSCHED_FATAL("invalid grid: ", error);
 
     const auto jobs = expandGrid(grid);
-    const JobPolicy policy{grid.deadlineMs, grid.retries, grid.faults};
+    const JobPolicy policy{grid.deadlineMs, grid.retries, grid.faults,
+                           grid.keepSchedules};
     GridReport report;
     report.results.resize(jobs.size());
 
@@ -579,7 +583,7 @@ runGrid(const GridSpec &grid)
     report.wallSeconds =
         std::chrono::duration<double>(end - begin).count();
 
-    report.interrupted = interruptRequested() || globalCancelRequested();
+    report.interrupted = interruptRequested();
     for (const auto &result : report.results) {
         ++report.summary.total;
         switch (result.outcome) {

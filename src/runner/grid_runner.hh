@@ -47,6 +47,12 @@ struct GridSpec
     /** Armed fault-injection plan; nullptr = none (borrowed). */
     const FaultPlan *faults = nullptr;
     /**
+     * Keep each in-process job's Schedule in its JobResult (see
+     * JobResult::schedule).  Off by default: a report would otherwise
+     * hold every schedule of the grid until it is destroyed.
+     */
+    bool keepSchedules = false;
+    /**
      * Path of the append-only job journal; empty = no journal.  With
      * a journal, every terminal job outcome is durably recorded the
      * moment it completes (see runner/journal.hh).

@@ -20,6 +20,7 @@
 #define CSCHED_RUNNER_JOB_HH
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -79,6 +80,8 @@ struct JobPolicy
     int retries = 0;
     /** Armed fault plan; nullptr = none.  Borrowed, not owned. */
     const FaultPlan *faults = nullptr;
+    /** Keep an in-process job's Schedule in JobResult::schedule. */
+    bool keepSchedule = false;
 };
 
 /**
@@ -155,6 +158,13 @@ struct JobResult
     double seconds = 0.0;  ///< scheduling time of the measured run
     /** Per-pass convergence + timing; empty for one-shot baselines. */
     std::vector<PassStep> trace;
+    /**
+     * The verified schedule, for inspecting an in-process run
+     * (csched_cli --gantt/--placements/--pressure); set only under
+     * JobPolicy::keepSchedule.  Never serialized, so empty for
+     * isolated, remote and replayed results.
+     */
+    std::shared_ptr<const Schedule> schedule;
 
     bool ok() const { return outcome == JobOutcome::Ok; }
     bool retriedThenOk() const { return ok() && attempts > 1; }

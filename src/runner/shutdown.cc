@@ -102,10 +102,9 @@ bool
 interruptRequested()
 {
     // In serve style a recorded-but-unescalated drain must *not* read
-    // as "abort in-flight work"; only the armed cancellation root
-    // does.  In grid style the two arm together, so the disjunction
-    // preserves the historical behaviour for direct
-    // requestGlobalCancel() callers (tests).
+    // as "abort in-flight work"; only the cancellation root, armed by
+    // escalateInterrupt(), does.  In grid style the signal and the
+    // root arm together, so either half reads the same.
     return globalCancelRequested() ||
            (!g_soft_drain.load() && g_interrupt_signal.load() != 0);
 }

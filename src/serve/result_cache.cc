@@ -77,13 +77,6 @@ ResultCache::waitFollower(
     return true;
 }
 
-std::size_t
-ResultCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
-}
-
 void
 ResultCache::touch(const std::string &key)
 {

@@ -99,8 +99,6 @@ class ResultCache
                  std::chrono::steady_clock::time_point deadline,
                  JobResult *out);
 
-    std::size_t size() const;
-
   private:
     void touch(const std::string &key);  // mutex_ held
 

@@ -34,17 +34,10 @@ elapsedMs(Clock::time_point since, Clock::time_point now)
 
 } // namespace
 
-/** All the ServeStats fields in atomic form. */
-struct Server::Counters
-{
-    CSCHED_SERVE_COUNTERS(CSCHED_COUNTER_ATOMIC)
-};
-
 Server::Server(ServeOptions options)
     : options_(std::move(options)), cache_(options_.cacheCapacity),
       crashLoop_("serve.degrade", options_.crashLoopThreshold,
-                 options_.degradeCooldownMs),
-      counters_(std::make_unique<Counters>())
+                 options_.degradeCooldownMs)
 {
 }
 
@@ -91,7 +84,7 @@ Server::run()
     readers_.acceptUntil(
         listenFd_, [this] { return drainingNow(); },
         [&](int fd) -> std::function<void()> {
-            counters_->connections.fetch_add(1);
+            counters_.connections.fetch_add(1);
             try {
                 acceptScope.hit("serve.accept");
             } catch (const StatusError &) {
@@ -99,7 +92,7 @@ Server::run()
                 // single byte, so no request is ever half-owned by the
                 // server.
                 ::close(fd);
-                counters_->acceptRejected.fetch_add(1);
+                counters_.acceptRejected.fetch_add(1);
                 return nullptr;
             }
             auto session = std::make_shared<Session>(
@@ -136,7 +129,7 @@ Server::readerMain(std::shared_ptr<Session> session)
             // Distinct, structured refusal -- then drop the
             // connection, because the stream is no longer framed (we
             // did not consume the oversized payload).
-            counters_->oversizedFrames.fetch_add(1);
+            counters_.oversizedFrames.fetch_add(1);
             ServeRequest anonymous;
             sendReply(session,
                       makeRejection(anonymous,
@@ -148,21 +141,21 @@ Server::readerMain(std::shared_ptr<Session> session)
         if (frame.kind == FrameResult::Kind::Malformed) {
             // Truncation or an I/O error: the peer is gone or
             // garbling; nothing addressable to reply to.
-            counters_->malformedFrames.fetch_add(1);
+            counters_.malformedFrames.fetch_add(1);
             break;
         }
 
         uint64_t salvaged_id = 0;
         auto decoded = decodeServeRequest(frame.payload, &salvaged_id);
         if (!decoded.ok()) {
-            counters_->invalidRequests.fetch_add(1);
+            counters_.invalidRequests.fetch_add(1);
             ServeRequest anonymous;
             anonymous.id = salvaged_id;
             sendReply(session,
                       makeRejection(anonymous, decoded.status()));
             continue;  // framing is intact; keep serving the peer
         }
-        counters_->requestsRead.fetch_add(1);
+        counters_.requestsRead.fetch_add(1);
         const ServeRequest &request = *decoded;
 
         // --- Admission control ------------------------------------
@@ -193,13 +186,13 @@ Server::readerMain(std::shared_ptr<Session> session)
                     : Clock::time_point::max();
             verdict = admit(std::move(item));
             if (verdict.ok())
-                counters_->admitted.fetch_add(1);
+                counters_.admitted.fetch_add(1);
         }
         if (!verdict.ok()) {
             if (verdict.code() == ErrorCode::Overloaded)
-                counters_->rejectedOverloaded.fetch_add(1);
+                counters_.rejectedOverloaded.fetch_add(1);
             else if (verdict.code() == ErrorCode::Interrupted)
-                counters_->interruptedReplies.fetch_add(1);
+                counters_.interruptedReplies.fetch_add(1);
             sendReply(session, makeRejection(request, verdict));
         }
     }
@@ -240,7 +233,7 @@ Server::handle(QueuedRequest item)
 
     // Still queued when the drain started: answer, don't run.
     if (drained) {
-        counters_->interruptedReplies.fetch_add(1);
+        counters_.interruptedReplies.fetch_add(1);
         ServeResponse reply = makeRejection(
             item.request, Status::interrupted(
                               "the daemon drained before this request "
@@ -252,7 +245,7 @@ Server::handle(QueuedRequest item)
 
     // Aged out while queued: shed without spending a worker.
     if (now >= item.deadline) {
-        counters_->shedDeadline.fetch_add(1);
+        counters_.shedDeadline.fetch_add(1);
         ServeResponse reply = makeRejection(
             item.request,
             Status::timedOut("deadline expired after " +
@@ -271,15 +264,15 @@ Server::handle(QueuedRequest item)
 
     ResultCache::Ticket ticket = cache_.begin(key);
     if (ticket.cached) {
-        counters_->cacheHits.fetch_add(1);
+        counters_.cacheHits.fetch_add(1);
         reply.cached = true;
         reply.result = ticket.result;
     } else if (ticket.coalesced) {
-        counters_->coalesced.fetch_add(1);
+        counters_.coalesced.fetch_add(1);
         JobResult result;
         if (!ResultCache::waitFollower(ticket.flight, item.deadline,
                                        &result)) {
-            counters_->shedDeadline.fetch_add(1);
+            counters_.shedDeadline.fetch_add(1);
             ServeResponse shed = makeRejection(
                 item.request,
                 Status::timedOut("deadline expired while coalesced "
@@ -302,7 +295,7 @@ Server::handle(QueuedRequest item)
 
     reply.status = serveStatusOf(reply.result);
     if (reply.result.outcome == JobOutcome::Interrupted)
-        counters_->interruptedReplies.fetch_add(1);
+        counters_.interruptedReplies.fetch_add(1);
     sendReply(item.session, reply);
 }
 
@@ -343,7 +336,7 @@ Server::runLeader(const ServeRequest &request,
             static_cast<int>(remaining > 0 ? remaining : 1);
     }
 
-    counters_->jobsRun.fetch_add(1);
+    counters_.jobsRun.fetch_add(1);
     result = pool_->run(spec, policy);
     noteWorkerHealth(result);
 
@@ -352,7 +345,7 @@ Server::runLeader(const ServeRequest &request,
         // (job key, attempt), so the delays the supervisor actually
         // slept can be recomputed here for the reply diagnostic
         // without perturbing the result itself.
-        counters_->healedRetries.fetch_add(1);
+        counters_.healedRetries.fetch_add(1);
         std::string backoffs;
         for (int attempt = 2; attempt <= result.attempts; ++attempt) {
             if (!backoffs.empty())
@@ -390,12 +383,12 @@ Server::noteWorkerHealth(const JobResult &result)
             crashLoop_.success();
         return;
     }
-    counters_->workerDeaths.fetch_add(1);
+    counters_.workerDeaths.fetch_add(1);
     // A trip refuses admissions for the breaker's cooldown window.
     const int cooldown = crashLoop_.failure();
     if (cooldown == 0)
         return;
-    counters_->degradeTrips.fetch_add(1);
+    counters_.degradeTrips.fetch_add(1);
     degradedUntilMs_.store(steadyMs() + cooldown);
     if (options_.verbose)
         std::fprintf(stderr,
@@ -411,9 +404,9 @@ Server::sendReply(const std::shared_ptr<Session> &session,
 {
     const Status sent = session->send(response, options_.timings);
     if (sent.ok())
-        counters_->repliesSent.fetch_add(1);
+        counters_.repliesSent.fetch_add(1);
     else
-        counters_->replyWriteFailures.fetch_add(1);
+        counters_.replyWriteFailures.fetch_add(1);
 }
 
 int

@@ -216,8 +216,11 @@ class Server
      *  checks it lock-free. */
     std::atomic<int64_t> degradedUntilMs_{0};
 
-    struct Counters;
-    std::unique_ptr<Counters> counters_;
+    /** All the ServeStats fields in atomic form. */
+    struct Counters
+    {
+        CSCHED_SERVE_COUNTERS(CSCHED_COUNTER_ATOMIC)
+    } counters_;
 };
 
 } // namespace csched

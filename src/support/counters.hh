@@ -19,6 +19,6 @@
 /** An atomic-twin field, bumped with fetch_add. */
 #define CSCHED_COUNTER_ATOMIC(name) std::atomic<uint64_t> name{0};
 /** One line of stats(): copies atomic twin `counters_` into `out`. */
-#define CSCHED_COUNTER_LOAD(name) out.name = counters_->name.load();
+#define CSCHED_COUNTER_LOAD(name) out.name = counters_.name.load();
 
 #endif // CSCHED_SUPPORT_COUNTERS_HH

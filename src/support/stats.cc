@@ -32,18 +32,6 @@ geomean(const std::vector<double> &values)
 }
 
 double
-stddev(const std::vector<double> &values)
-{
-    if (values.size() < 2)
-        return 0.0;
-    const double m = mean(values);
-    double acc = 0.0;
-    for (double v : values)
-        acc += (v - m) * (v - m);
-    return std::sqrt(acc / static_cast<double>(values.size()));
-}
-
-double
 median(std::vector<double> values)
 {
     if (values.empty())

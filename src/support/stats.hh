@@ -22,9 +22,6 @@ double mean(const std::vector<double> &values);
  */
 double geomean(const std::vector<double> &values);
 
-/** Population standard deviation; returns 0 for fewer than two values. */
-double stddev(const std::vector<double> &values);
-
 /**
  * Lower median (the element at index (n-1)/2 of the sorted sample);
  * returns 0 for an empty vector.  The lower median is deterministic

@@ -29,8 +29,6 @@ class TablePrinter
     /** Render with padded columns and a separator under the header. */
     void print(std::ostream &os) const;
 
-    size_t numRows() const { return rows_.size(); }
-
   private:
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;

@@ -50,7 +50,7 @@ struct TestCounters
 
 /** The stats() a daemon would generate from the test list. */
 TestStats
-snapshot(const TestCounters *counters_)
+snapshot(const TestCounters &counters_)
 {
     TestStats out;
     CSCHED_TEST_COUNTERS(CSCHED_COUNTER_LOAD)
@@ -65,7 +65,7 @@ TEST(Counters, SnapshotShowsExactlyWhatEachAtomicCounted)
     counters.third.fetch_add(300);
     counters.fourth.fetch_add(4000);
     counters.fourth.fetch_add(4000);
-    const TestStats stats = snapshot(&counters);
+    const TestStats stats = snapshot(counters);
     EXPECT_EQ(stats.first, 1u);
     EXPECT_EQ(stats.second, 20u);
     EXPECT_EQ(stats.third, 300u);

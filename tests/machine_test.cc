@@ -4,6 +4,8 @@
  * uniform Figure-1 machine.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "machine/clustered_vliw.hh"
@@ -32,9 +34,15 @@ TEST(ClusteredVliw, Capabilities)
     const ClusteredVliwMachine vliw(2);
     EXPECT_TRUE(vliw.canExecute(0, Opcode::FAdd));
     EXPECT_TRUE(vliw.canExecute(1, Opcode::Load));
-    EXPECT_EQ(vliw.numFusFor(0, Opcode::IAdd), 2);  // IntAlu + IntAluMem
-    EXPECT_EQ(vliw.numFusFor(0, Opcode::Load), 1);
-    EXPECT_EQ(vliw.numFusFor(0, Opcode::FMul), 1);
+    auto fus_for = [&](Opcode op) {
+        const auto &fus = vliw.clusterFus(0);
+        return std::count_if(fus.begin(), fus.end(), [op](FuKind fu) {
+            return fuCanExecute(fu, op);
+        });
+    };
+    EXPECT_EQ(fus_for(Opcode::IAdd), 2);  // IntAlu + IntAluMem
+    EXPECT_EQ(fus_for(Opcode::Load), 1);
+    EXPECT_EQ(fus_for(Opcode::FMul), 1);
 }
 
 TEST(ClusteredVliw, CommunicationModel)

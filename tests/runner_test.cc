@@ -111,6 +111,20 @@ TEST(GridRunner, JobResultsAreSelfDescribing)
     }
 }
 
+TEST(GridRunner, KeepsSchedulesOnlyWhenAsked)
+{
+    auto grid = smallGrid();
+    for (const auto &job : runGrid(grid).results)
+        EXPECT_EQ(job.schedule, nullptr) << job.workload;
+
+    grid.keepSchedules = true;
+    for (const auto &job : runGrid(grid).results) {
+        ASSERT_NE(job.schedule, nullptr) << job.workload;
+        EXPECT_EQ(job.schedule->makespan(), job.makespan);
+        EXPECT_EQ(job.schedule->assignment(), job.assignment);
+    }
+}
+
 /**
  * The ISSUE's core acceptance criterion: the same grid run serially
  * and on many threads produces identical makespans and assignments --

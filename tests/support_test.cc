@@ -117,12 +117,6 @@ TEST(Stats, GeomeanOfSpeedupsBetweenMinAndMax)
     EXPECT_LT(g, mean(v));  // AM-GM
 }
 
-TEST(Stats, Stddev)
-{
-    EXPECT_DOUBLE_EQ(stddev({5.0}), 0.0);
-    EXPECT_NEAR(stddev({2.0, 4.0}), 1.0, 1e-12);
-}
-
 TEST(Stats, PercentileNearestRank)
 {
     EXPECT_DOUBLE_EQ(percentile({}, 50.0), 0.0);
@@ -216,12 +210,11 @@ TEST(Str, ParseNonNegativeIntTakesOnlyWholeInRangeDecimals)
         EXPECT_EQ(parseNonNegativeInt(bad), std::nullopt) << bad;
 }
 
-TEST(Table, AlignsColumnsAndCountsRows)
+TEST(Table, AlignsColumns)
 {
     TablePrinter table({"name", "value"});
     table.addRow({"x", "1"});
     table.addRow({"longer", "22"});
-    EXPECT_EQ(table.numRows(), 2u);
     std::ostringstream os;
     table.print(os);
     const std::string out = os.str();

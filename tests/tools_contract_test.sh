@@ -5,8 +5,10 @@
 # (in-process, --isolate, and --hosts against one csched_workerd this
 # script starts), and the 0/1/2 exit-code convention (0 success or
 # --keep-going, 1 a failed job, 2 a usage error caught before any job
-# runs -- csched_serve's flag checks included).  Registered in ctest
-# as a tier-2 check.
+# runs -- csched_serve's flag checks included), that csched_cli runs
+# its one job once through the grid, and that README's CLI and
+# degraded-machine examples run.  Registered in ctest as a tier-2
+# check.
 set -u
 
 if [ $# -ne 4 ]; then
@@ -38,20 +40,32 @@ trap cleanup EXIT
 
 failures=0
 
-# expect CODE NAME CMD...: run CMD (output to $tmp/out) and demand it
-# exits with CODE.
+# expect CODE NAME CMD...: run CMD (stdout to $tmp/out, stderr to
+# $tmp/err) and demand it exits with CODE.
 expect() {
     want=$1
     name=$2
     shift 2
-    "$@" >"$tmp/out" 2>&1
+    "$@" >"$tmp/out" 2>"$tmp/err"
     got=$?
     if [ "$got" -ne "$want" ]; then
         echo "FAIL $name: expected exit $want, got $got" >&2
-        sed 's/^/    /' "$tmp/out" >&2
+        sed 's/^/    /' "$tmp/out" "$tmp/err" >&2
         failures=$((failures + 1))
     else
         echo "ok   $name (exit $got)"
+    fi
+}
+
+# check NAME CMD...: demand CMD succeeds.
+check() {
+    name=$1
+    shift
+    if "$@"; then
+        echo "ok   $name"
+    else
+        echo "FAIL $name" >&2
+        failures=$((failures + 1))
     fi
 }
 
@@ -182,6 +196,8 @@ expect 2 "cli --hosts with --isolate" \
     --hosts 127.0.0.1:1 --isolate
 expect 2 "cli --online with an offline policy" \
     "$cli" --online --policies convergent
+expect 2 "cli --gantt with --isolate" \
+    "$cli" --workload fir --gantt --isolate
 expect 2 "bench grid flags without a subcommand" \
     "$bench" --workloads fir --quiet
 expect 2 "bench perf --repeats not a number" \
@@ -219,6 +235,51 @@ expect 0 "cli --online injected job failure with --keep-going" \
     "$cli" --online --streams "$stream" --policies online-uas \
     --json "$tmp/online.json" --inject "runner.job.start=fail" \
     --keep-going
+
+# ---- csched_cli runs its one job once, through the grid -------------
+
+expect 0 "cli --json with a skipped pass" \
+    "$cli" --workload fir --json "$tmp/skip.json" \
+    --inject "pass.body=fail:nth=1"
+check "cli --json schedules once (one skipped-pass warning)" \
+    [ "$(grep -c "skipped" "$tmp/err")" -eq 1 ]
+expect 1 "cli failed job with --json and --journal" \
+    "$cli" --workload fir --json "$tmp/failed.json" \
+    --journal "$tmp/failed.journal" --inject "runner.job.start=fail"
+check "cli report records the failed cell" \
+    grep -q '"outcome": "failed"' "$tmp/failed.json"
+check "cli journal records the failed cell" \
+    grep -q '"outcome": "failed"' "$tmp/failed.journal"
+expect 1 "cli --isolate contains a worker crash without --json" \
+    "$cli" --workload fir --isolate --inject "worker.crash=fail"
+expect 0 "cli --json - report" "$cli" --workload fir --json -
+check "cli --json - puts only the report on stdout" \
+    [ "$(head -c 1 "$tmp/out")" = "{" ]
+expect 0 "cli --online --json - report" \
+    "$cli" --online --streams "$stream" --policies online-uas --json -
+check "cli --online --json - puts only the report on stdout" \
+    [ "$(head -c 1 "$tmp/out")" = "{" ]
+
+# ---- README examples: the CLI and degraded-machine sections ---------
+
+expect 0 "README: cli --workload list" \
+    "$cli" --workload list
+expect 0 "README: cli mxm --trace --speedup" \
+    "$cli" --workload mxm --machine raw4x4 \
+    --algorithm convergent --trace --speedup
+expect 0 "README: cli fir --gantt --pressure" \
+    "$cli" --workload fir --machine vliw4 \
+    --algorithm uas --gantt --pressure
+expect 0 "README: cli jacobi --dot" \
+    "$cli" --workload jacobi --machine raw2x2 \
+    --dot "$tmp/jacobi.dot"
+expect 0 "README: bench suite on seeded raw8x8 faults" \
+    "$bench" suite --workloads jacobi,sha \
+    --machines "raw8x8,raw8x8/faults=seed:7,tiles:5%,links:3%,slow:10%,factor:2" \
+    --algorithms convergent,uas,pcc,rawcc
+expect 0 "README: bench suite on explicit vliw8 faults" \
+    "$bench" suite --workloads mxm \
+    --machines "vliw8/faults=clusters:2+5" --algorithms convergent
 
 if [ "$failures" -ne 0 ]; then
     echo "tools_contract: $failures case(s) failed" >&2

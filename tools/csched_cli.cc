@@ -14,8 +14,7 @@
  *                         convergent)
  *     --json FILE         write the structured run report ("-" =
  *                         stdout)
- *     --jobs N            worker threads for the --json report path
- *                         (0 = hardware concurrency)
+ *     --jobs N            worker threads (0 = hardware concurrency)
  *     --gantt             print the per-FU timeline
  *     --placements        print one line per instruction
  *     --trace             print the convergence trace
@@ -24,20 +23,29 @@
  *     --speedup           also compute speedup vs one cluster
  *     --deadline-ms N     per-attempt deadline; 0 = none
  *     --retries N         retry a failed/timed-out run up to N times
- *     --isolate           (with --json) run the job in a forked
- *                         worker process so a crash/hang/OOM becomes
- *                         a recorded outcome, not a process death
+ *     --isolate           run the job in a forked worker process so a
+ *                         crash/hang/OOM becomes a recorded outcome,
+ *                         not a process death
  *     --mem-limit-mb N    RLIMIT_AS per isolated worker; 0 = none
- *     --journal FILE      (with --json) append terminal job outcomes
- *                         to FILE as they complete
+ *     --journal FILE      append terminal job outcomes to FILE as they
+ *                         complete
  *     --resume            (with --journal) replay journaled outcomes
  *                         instead of re-running those jobs
- *     --hosts CSV         (with --json) execute jobs on a fleet of
- *                         csched_workerd daemons, "host:port" each;
- *                         partition-tolerant (see dist/remote_pool.hh)
- *                         and byte-identical to an in-process run
+ *     --hosts CSV         execute jobs on a fleet of csched_workerd
+ *                         daemons, "host:port" each; partition-tolerant
+ *                         (see dist/remote_pool.hh) and byte-identical
+ *                         to an in-process run
  *     --keep-going        exit 0 even when the run (or a grid job)
  *                         failed
+ *
+ * Every invocation runs its job(s) once, as a grid through
+ * runGridAndReport (tools/grid_driver.hh): a single run is a one-cell
+ * grid with the grid's job envelope, retries, journal and executor.
+ * --gantt, --placements and --pressure read the Schedule, which only
+ * an in-process run keeps, so with --isolate, --hosts or --resume they
+ * are a usage error.  --trace, --dot and --speedup work everywhere.
+ * stdout carries the human-readable lines, or with "--json -" only
+ * the report (the lines then go to stderr).
  *
  * Online mode sweeps arrival streams instead of single workloads:
  * streams ride the grid's workload axis and policies its algorithm
@@ -69,19 +77,16 @@
 #include <vector>
 
 #include "eval/experiment.hh"
-#include "eval/speedup.hh"
 #include "grid_driver.hh"
 #include "ir/dot_export.hh"
 #include "machine/machine_spec.hh"
 #include "online/arrival.hh"
 #include "online/policy.hh"
 #include "tool_version.hh"
-#include "runner/shutdown.hh"
 #include "sched/register_pressure.hh"
 #include "sched/schedule_printer.hh"
 #include "support/atomic_file.hh"
-#include "support/cancel.hh"
-#include "support/fault_injection.hh"
+#include "support/logging.hh"
 #include "support/str.hh"
 #include "workloads/workloads.hh"
 
@@ -186,20 +191,9 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const GridSpec &exec = flags.grid;
-    if (exec.resume && exec.journalPath.empty())
-        usage(argv[0], "--resume requires --journal");
-    if (!exec.journalPath.empty() && flags.jsonFile.empty())
-        usage(argv[0], "--journal requires --json (it journals the "
-                       "structured run)");
-    if (!exec.hosts.empty() && flags.jsonFile.empty())
-        usage(argv[0], "--hosts requires --json (remote execution "
-                       "runs the structured grid)");
-    if (!exec.hosts.empty() && exec.isolate)
-        usage(argv[0], "--hosts and --isolate are mutually exclusive "
-                       "(remote hosts already isolate every job)");
-
-    installGridSignalHandlers();
+    // With "--json -" stdout carries only the report, so the human
+    // lines go to stderr.
+    std::ostream &out = flags.jsonFile == "-" ? std::cerr : std::cout;
 
     if (online) {
         // An offline algorithm on a stream would only fail per cell,
@@ -238,161 +232,122 @@ main(int argc, char **argv)
                           << "\n";
                 return 1;
             }
-            std::cout << "wrote " << trace_file << "\n";
+            out << "wrote " << trace_file << "\n";
         }
 
         auto print_lines = [&](const GridReport &report) {
-            if (!flags.jsonFile.empty() && flags.jsonFile != "-")
-                return;
             for (const auto &job : report.results) {
-                std::cout << job.workload << " on " << job.machine
-                          << " via " << job.algorithm << ": ";
+                out << job.workload << " on " << job.machine << " via "
+                    << job.algorithm << ": ";
                 if (!job.ok()) {
-                    std::cout << jobOutcomeName(job.outcome) << " ("
-                              << job.diagnostic << ")\n";
+                    out << jobOutcomeName(job.outcome) << " ("
+                        << job.diagnostic << ")\n";
                     continue;
                 }
-                std::cout << job.regions << " regions, weighted "
-                          << "completion " << job.weightedCompletion
-                          << ", makespan " << job.makespan
-                          << ", max flow " << job.maxFlowTime
-                          << ", mean flow "
-                          << formatDouble(job.meanFlowTime, 1)
-                          << ", misses " << job.deadlineMisses
-                          << ", preemptions " << job.preemptions
-                          << "\n";
+                out << job.regions << " regions, weighted "
+                    << "completion " << job.weightedCompletion
+                    << ", makespan " << job.makespan << ", max flow "
+                    << job.maxFlowTime << ", mean flow "
+                    << formatDouble(job.meanFlowTime, 1) << ", misses "
+                    << job.deadlineMisses << ", preemptions "
+                    << job.preemptions << "\n";
             }
         };
         return runGridAndReport(argv[0], usage, flags, ReportOptions(),
                                 true, print_lines);
     }
 
+    // The run is the one cell of a grid, so it gets the grid's job
+    // envelope, retries, journal and executor.  Only an in-process run
+    // can keep its Schedule (GridSpec::keepSchedules).
+    const bool want_schedule = want_gantt || want_placements ||
+                               want_pressure;
+    if (want_schedule && (flags.grid.isolate ||
+                          !flags.grid.hosts.empty() || flags.grid.resume))
+        usage(argv[0], "--gantt, --placements and --pressure need an "
+                       "in-process run (not --isolate, --hosts or "
+                       "--resume)");
+
     std::string error;
     const auto machine = parseMachineSpec(machine_spec, &error);
     if (machine == nullptr)
         usage(argv[0], error);
-
     const auto parsed = parseAlgorithmSpec(algorithm_arg, &error);
     if (!parsed.has_value())
         usage(argv[0], error);
-    const AlgorithmSpec &algorithm_spec = *parsed;
-
-    const WorkloadSpec *found = tryFindWorkload(workload);
-    if (found == nullptr)
+    const WorkloadSpec *spec = tryFindWorkload(workload);
+    if (spec == nullptr)
         usage(argv[0], "unknown workload '" + workload +
                            "' (try --workload list)");
-    const auto &spec = *found;
-    auto graph = spec.build(machine->numClusters(),
-                            machine->numClusters());
-    remapPreplacedForMachine(graph, *machine);
+    flags.grid.workloads = {workload};
+    flags.grid.machines = {machine_spec};
+    flags.grid.algorithms = {*parsed};
+    flags.grid.computeSpeedup = want_speedup;
+    flags.grid.keepSchedules = want_schedule;
 
-    // The interactive run is one "job": same fault scope key, deadline,
-    // and bounded-retry loop as a grid cell (see runner/job.hh), but
-    // keeping the Schedule object for the inspection flags below.
-    FaultScope faults(flags.faults.empty() ? nullptr : &flags.faults,
-                      workload + "/" + machine_spec + "/" +
-                          algorithm_spec.text());
-    ScopedFaultScope fault_guard(&faults);
+    bool dot_failed = false;
+    auto print_run = [&](const GridReport &report) {
+        const JobResult &job = report.results.front();
+        if (!job.ok())
+            return;  // the failure summary reports it
+        out << workload << " on " << machine->name() << " via "
+            << job.algorithmName << ": " << job.instructions
+            << " instructions, makespan " << job.makespan
+            << " cycles (CPL " << job.criticalPathLength
+            << "), scheduled in " << formatDouble(job.seconds * 1e3, 2)
+            << " ms\n";
+        if (want_speedup)
+            out << "speedup vs one cluster: "
+                << formatDouble(job.speedup, 2) << "x\n";
 
-    auto attemptRun = [&]() -> StatusOr<RunResult> {
-        try {
-            CancelToken token;
-            if (exec.deadlineMs > 0)
-                token.armDeadline(exec.deadlineMs);
-            ScopedCancelToken cancel_guard(&token);
-            checkpoint("runner.job.start");
-            auto algorithm = tryMakeAlgorithm(algorithm_spec, *machine);
-            if (!algorithm.ok())
-                return algorithm.status();
-            return tryRunAndCheck(**algorithm, graph, *machine);
-        } catch (const StatusError &error) {
-            return error.status;
+        // The graph is a pure function of (workload, machine), so it is
+        // rebuilt here rather than shipped with the result.
+        auto graph = spec->build(machine->numClusters(),
+                                 machine->numClusters());
+        remapPreplacedForMachine(graph, *machine);
+        CSCHED_ASSERT(!want_schedule || job.schedule != nullptr,
+                      "an in-process run kept no schedule");
+        if (want_pressure) {
+            const auto pressure = analyzePressure(graph, *job.schedule);
+            out << "peak register pressure: " << pressure.peak()
+                << " (budget " << machine->registersPerCluster()
+                << "; clusters over budget: "
+                << pressure.clustersOverBudget(
+                       machine->registersPerCluster())
+                << ")\n";
+        }
+        if (want_trace) {
+            if (job.trace.empty())
+                out << "(no convergence trace: " << job.algorithmName
+                    << " has no pass pipeline)\n";
+            for (const auto &step : job.trace)
+                out << "  " << step.pass << ": "
+                    << formatDouble(step.fractionChanged, 3)
+                    << (step.temporalOnly ? " (temporal)" : "") << "  ["
+                    << formatDouble(step.seconds * 1e3, 2) << " ms]\n";
+        }
+        if (want_gantt) {
+            out << "\n";
+            printGantt(out, graph, *machine, *job.schedule);
+        }
+        if (want_placements) {
+            out << "\n";
+            printPlacements(out, graph, *job.schedule);
+        }
+        if (!dot_file.empty()) {
+            std::ostringstream dot;
+            exportDot(dot, graph, job.assignment);
+            const Status written = writeFileAtomic(dot_file, dot.str());
+            if (!written.ok()) {
+                std::cerr << argv[0] << ": " << written.toString()
+                          << "\n";
+                dot_failed = true;
+                return;
+            }
+            out << "wrote " << dot_file << "\n";
         }
     };
-    auto run = attemptRun();
-    int attempts = 1;
-    while (!run.ok() && run.status().code() != ErrorCode::InvalidSpec &&
-           run.status().code() != ErrorCode::Interrupted &&
-           attempts <= exec.retries) {
-        ++attempts;
-        run = attemptRun();
-    }
-    if (!run.ok()) {
-        std::cerr << argv[0] << ": " << workload << " on "
-                  << machine_spec << " failed after " << attempts
-                  << (attempts == 1 ? " attempt: " : " attempts: ")
-                  << run.status().toString() << "\n";
-        if (run.status().code() == ErrorCode::Interrupted)
-            return interruptExitCode(interruptSignal());
-        return flags.keepGoing ? 0 : 1;
-    }
-    const Schedule &schedule = run->result.schedule;
-
-    std::cout << workload << " on " << machine->name() << " via "
-              << run->algorithm << ": " << run->instructions
-              << " instructions, makespan " << run->makespan
-              << " cycles (CPL " << graph.criticalPathLength()
-              << "), scheduled in "
-              << formatDouble(run->seconds * 1e3, 2) << " ms\n";
-
-    if (want_speedup) {
-        const auto base = trySingleClusterMakespan(spec, *machine);
-        if (!base.ok()) {
-            std::cerr << argv[0] << ": " << base.status().toString()
-                      << "\n";
-            return flags.keepGoing ? 0 : 1;
-        }
-        std::cout << "speedup vs one cluster: "
-                  << formatDouble(static_cast<double>(*base) /
-                                      static_cast<double>(run->makespan),
-                                  2)
-                  << "x\n";
-    }
-    if (want_pressure) {
-        const auto report = analyzePressure(graph, schedule);
-        std::cout << "peak register pressure: " << report.peak()
-                  << " (budget " << machine->registersPerCluster()
-                  << "; clusters over budget: "
-                  << report.clustersOverBudget(
-                         machine->registersPerCluster())
-                  << ")\n";
-    }
-    if (want_trace) {
-        if (run->result.trace.empty())
-            std::cout << "(no convergence trace: " << run->algorithm
-                      << " has no pass pipeline)\n";
-        for (const auto &step : run->result.trace)
-            std::cout << "  " << step.pass << ": "
-                      << formatDouble(step.fractionChanged, 3)
-                      << (step.temporalOnly ? " (temporal)" : "")
-                      << "  [" << formatDouble(step.seconds * 1e3, 2)
-                      << " ms]\n";
-    }
-    if (want_gantt) {
-        std::cout << "\n";
-        printGantt(std::cout, graph, *machine, schedule);
-    }
-    if (want_placements) {
-        std::cout << "\n";
-        printPlacements(std::cout, graph, schedule);
-    }
-    if (!dot_file.empty()) {
-        std::ostringstream out;
-        exportDot(out, graph, schedule.assignment());
-        const Status written = writeFileAtomic(dot_file, out.str());
-        if (!written.ok()) {
-            std::cerr << argv[0] << ": " << written.toString() << "\n";
-            return 1;
-        }
-        std::cout << "wrote " << dot_file << "\n";
-    }
-    if (!flags.jsonFile.empty()) {
-        flags.grid.workloads = {workload};
-        flags.grid.machines = {machine_spec};
-        flags.grid.algorithms = {algorithm_spec};
-        flags.grid.computeSpeedup = want_speedup;
-        return runGridAndReport(argv[0], usage, flags, ReportOptions(),
-                                true, nullptr);
-    }
-    return 0;
+    const int code = runGridAndReport(argv[0], usage, flags,
+                                      ReportOptions(), true, print_run);
+    return dot_failed && code == 0 ? 1 : code;
 }
