@@ -432,6 +432,15 @@ validateGrid(const GridSpec &grid, std::string *error)
         if (!parseAlgorithmSpec(algorithm.text(), &why))
             return fail(why);
     }
+    // Last, because the journal's fingerprint covers the axes above.
+    if (grid.resume) {
+        if (grid.journalPath.empty())
+            return fail("--resume requires --journal");
+        const Status header =
+            checkJournalHeader(grid.journalPath, gridFingerprint(grid));
+        if (!header.ok())
+            return fail(header.message());
+    }
     return true;
 }
 
@@ -456,12 +465,10 @@ runGrid(const GridSpec &grid)
     std::vector<char> replayed(jobs.size(), 0);
     bool rewrite_header = false;
     if (grid.resume) {
-        CSCHED_ASSERT(!grid.journalPath.empty(),
-                      "grid.resume requires grid.journalPath");
+        // validateGrid has checked the header, the only way a load
+        // fails.
         auto loaded = loadJournal(grid.journalPath, fingerprint);
-        if (!loaded.ok())
-            CSCHED_FATAL("cannot resume: ",
-                         loaded.status().toString());
+        CSCHED_ASSERT(loaded.ok(), loaded.status().toString());
         rewrite_header = loaded->rewriteHeader;
         if (loaded->ignoredLines > 0)
             CSCHED_WARN("journal '", grid.journalPath, "': skipped ",

@@ -133,8 +133,9 @@ struct GridReport
 std::vector<JobSpec> expandGrid(const GridSpec &grid);
 
 /**
- * Validate every workload, machine, and algorithm of @p grid.
- * Returns false and fills @p error on the first invalid entry.
+ * Validate every workload, machine, and algorithm of @p grid and, on
+ * a resume, that its journal was written for this grid.  Returns false
+ * and fills @p error on the first invalid entry.
  */
 bool validateGrid(const GridSpec &grid, std::string *error);
 

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include <fcntl.h>
@@ -37,6 +38,52 @@ headerLine(const std::string &fingerprint)
         w.endObject();
     }
     return compactJson(out.str());
+}
+
+/** What a journal's header line says about resuming one grid. */
+enum class HeaderVerdict
+{
+    /** No recognizable header: the file is started over. */
+    Untrusted,
+    /** Written for this grid: its records can be replayed. */
+    SameGrid,
+    /** Written for another grid: the resume is refused. */
+    OtherGrid,
+};
+
+/**
+ * Judge @p line, the journal's first line that parses as a JSON
+ * object, against the grid identified by @p fingerprint.
+ */
+HeaderVerdict
+judgeHeader(const JsonValue &line, const std::string &fingerprint)
+{
+    const JsonValue *schema = line.find("journal");
+    const JsonValue *grid = line.find("grid");
+    if (schema == nullptr || grid == nullptr ||
+        schema->string != kJournalSchema)
+        return HeaderVerdict::Untrusted;
+    return grid->string == fingerprint ? HeaderVerdict::SameGrid
+                                       : HeaderVerdict::OtherGrid;
+}
+
+Status
+otherGridError(const std::string &path)
+{
+    return Status::invalidSpec("journal '" + path +
+                               "' was written for a different grid; "
+                               "refusing to resume (delete it to start "
+                               "over)");
+}
+
+/** Parse @p line as a JSON object, or std::nullopt. */
+std::optional<JsonValue>
+parseObjectLine(const std::string &line)
+{
+    auto parsed = parseJson(line);
+    if (!parsed.has_value() || parsed->kind != JsonValue::Kind::Object)
+        return std::nullopt;
+    return parsed;
 }
 
 } // namespace
@@ -149,6 +196,24 @@ JobJournal::append(const JobSpec &spec, const JobResult &result)
     return writeLine(line);
 }
 
+Status
+checkJournalHeader(const std::string &path, const std::string &fingerprint)
+{
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (trim(line).empty())
+            continue;
+        const auto parsed = parseObjectLine(line);
+        if (!parsed.has_value())
+            continue;
+        return judgeHeader(*parsed, fingerprint) == HeaderVerdict::OtherGrid
+                   ? otherGridError(path)
+                   : Status();
+    }
+    return Status();
+}
+
 StatusOr<JournalReplay>
 loadJournal(const std::string &path, const std::string &fingerprint)
 {
@@ -169,31 +234,26 @@ loadJournal(const std::string &path, const std::string &fingerprint)
     for (const auto &line : split(contents, '\n')) {
         if (trim(line).empty())
             continue;
-        const auto parsed = parseJson(line);
-        if (!parsed.has_value() ||
-            parsed->kind != JsonValue::Kind::Object) {
+        const auto parsed = parseObjectLine(line);
+        if (!parsed.has_value()) {
             // A crash artifact (truncated or garbled record): the job
             // it described simply re-runs.
             ++replay.ignoredLines;
             continue;
         }
         if (!saw_header) {
-            const JsonValue *schema = parsed->find("journal");
-            const JsonValue *grid = parsed->find("grid");
-            if (schema == nullptr || grid == nullptr ||
-                schema->string != kJournalSchema) {
-                // No recognizable header: treat the file as untrusted
-                // and start over rather than splice unknown records.
+            switch (judgeHeader(*parsed, fingerprint)) {
+              case HeaderVerdict::Untrusted:
+                // Start over rather than splice unknown records.
                 replay.results.clear();
                 replay.ignoredLines = 0;
                 replay.rewriteHeader = true;
                 return replay;
+              case HeaderVerdict::OtherGrid:
+                return otherGridError(path);
+              case HeaderVerdict::SameGrid:
+                break;
             }
-            if (grid->string != fingerprint)
-                return Status::invalidSpec(
-                    "journal '" + path +
-                    "' was written for a different grid; refusing "
-                    "to resume (delete it to start over)");
             saw_header = true;
             continue;
         }

@@ -122,6 +122,16 @@ class JobJournal
 StatusOr<JournalReplay> loadJournal(const std::string &path,
                                     const std::string &fingerprint);
 
+/**
+ * Check, reading no further than its header, that the journal at
+ * @p path may be resumed by the grid identified by @p fingerprint:
+ * the InvalidSpec error loadJournal would return for a header naming
+ * a different grid, and success otherwise (a missing file or an
+ * unrecognizable header is started over, not refused).
+ */
+Status checkJournalHeader(const std::string &path,
+                          const std::string &fingerprint);
+
 /** Serialize one journal record line (exposed for tests). */
 std::string journalRecordLine(const JobSpec &spec,
                               const JobResult &result);

@@ -127,6 +127,18 @@ TEST(JobJournal, RefusesAJournalFromADifferentGrid)
     const auto replay = loadJournal(path, gridFingerprint(other));
     ASSERT_FALSE(replay.ok());
     EXPECT_EQ(replay.status().code(), ErrorCode::InvalidSpec);
+
+    // The header check validateGrid makes refuses it the same way, and
+    // passes the grid that wrote it.
+    const Status header = checkJournalHeader(path, gridFingerprint(other));
+    EXPECT_EQ(header.code(), ErrorCode::InvalidSpec);
+    EXPECT_EQ(header.message(), replay.status().message());
+    EXPECT_TRUE(checkJournalHeader(path, gridFingerprint(grid)).ok());
+    EXPECT_TRUE(checkJournalHeader(tempPath("nonexistent.jsonl"), "fp").ok());
+    other.resume = true;
+    std::string error;
+    EXPECT_FALSE(validateGrid(other, &error));
+    EXPECT_EQ(error, replay.status().message());
 }
 
 TEST(JobJournal, MissingFileIsAnEmptyReplay)

@@ -187,6 +187,24 @@ expect 2 "bench --resume without --journal" \
     "$bench" suite --workloads fir --resume --quiet
 expect 2 "cli --resume without --journal" \
     "$cli" --workload fir --json "$tmp/r.json" --resume
+# A journal written for another grid is refused before any job runs,
+# by a message that names it, and is left as it was.
+expect 0 "bench journal of a vliw2 grid" \
+    "$bench" suite --workloads fir --machines vliw2 --algorithms uas \
+    --journal "$tmp/vliw2.journal" --quiet
+cp "$tmp/vliw2.journal" "$tmp/vliw2.journal.orig"
+expect 2 "bench --resume with another grid's journal" \
+    "$bench" suite --workloads fir --machines vliw4 --algorithms uas \
+    --journal "$tmp/vliw2.journal" --resume --quiet
+check "bench resume refusal names the journal" \
+    grep -q "vliw2.journal' was written for a different grid" "$tmp/err"
+expect 2 "cli --resume with another grid's journal" \
+    "$cli" --workload fir --machine vliw4 --algorithm uas \
+    --journal "$tmp/vliw2.journal" --resume
+check "cli resume refusal names the journal" \
+    grep -q "vliw2.journal' was written for a different grid" "$tmp/err"
+check "a refused resume leaves the journal as it was" \
+    cmp -s "$tmp/vliw2.journal" "$tmp/vliw2.journal.orig"
 # 127.0.0.1:1 is never contacted: the flag conflict is rejected first.
 expect 2 "bench --hosts with --isolate" \
     "$bench" suite --workloads fir --hosts 127.0.0.1:1 --isolate \
@@ -196,6 +214,17 @@ expect 2 "cli --hosts with --isolate" \
     --hosts 127.0.0.1:1 --isolate
 expect 2 "cli --online with an offline policy" \
     "$cli" --online --policies convergent
+expect 2 "cli --online --emit-trace with a malformed machine" \
+    "$cli" --online \
+    --streams "stream:poisson:n=3:seed=1:mean-gap=200:workloads=fir" \
+    --machines vliw0 --policies online-uas --emit-trace "$tmp/bad.jsonl"
+check "cli --online --emit-trace writes no trace on a usage error" \
+    [ ! -e "$tmp/bad.jsonl" ]
+expect 2 "cli --online --emit-trace with an offline workload" \
+    "$cli" --online --streams fir --policies online-uas \
+    --emit-trace "$tmp/offline.jsonl"
+check "cli --online --emit-trace writes no trace for an offline workload" \
+    [ ! -e "$tmp/offline.jsonl" ]
 expect 2 "cli --gantt with --isolate" \
     "$cli" --workload fir --gantt --isolate
 expect 2 "bench grid flags without a subcommand" \

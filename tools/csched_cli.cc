@@ -58,8 +58,9 @@
  *     --machines CSV      machine specs for the sweep
  *     --policies CSV      online policies (default: all five)
  *     --emit-trace FILE   also write the streams' csched-stream-v1
- *                         JSONL traces (replay with stream:trace:
- *                         file=FILE when sweeping a single stream)
+ *                         JSONL traces once the sweep has run (replay
+ *                         with stream:trace:file=FILE when sweeping a
+ *                         single stream)
  *
  * Failures are structured: a bad spec is a usage error (exit 2), while
  * a run that fails -- checker rejection, deadline, injected fault --
@@ -196,10 +197,14 @@ main(int argc, char **argv)
     std::ostream &out = flags.jsonFile == "-" ? std::cerr : std::cout;
 
     if (online) {
-        // An offline algorithm on a stream would only fail per cell,
-        // so reject it up front as a usage error.
+        // An offline workload or algorithm in a stream sweep would
+        // only fail per cell, so reject it up front as a usage error.
         GridSpec &grid = flags.grid;
         grid.workloads = split(streams_csv, ',');
+        for (const std::string &stream : grid.workloads)
+            if (!isStreamWorkload(stream))
+                usage(argv[0], "--streams: '" + stream +
+                                   "' is not a stream spec (stream:...)");
         // splitMachineList, not a bare split: faults= suffixes carry
         // commas of their own.
         grid.machines = splitMachineList(machines_csv);
@@ -211,20 +216,22 @@ main(int argc, char **argv)
             grid.algorithms.push_back(*parseAlgorithmSpec(policy));
         }
 
-        if (!trace_file.empty()) {
+        // The trace is written from the print hook, so only once
+        // runGridAndReport has validated the grid: every workload is
+        // then a well-formed stream spec (checked above to be a
+        // stream, and parsed by validateGrid).
+        int trace_code = 0;
+        auto write_trace = [&]() {
             std::string traces;
-            for (const std::string &stream : grid.workloads) {
-                std::string error;
-                const auto parsed_stream = parseStreamSpec(stream, &error);
-                if (!parsed_stream.has_value())
-                    usage(argv[0], error);
-                auto arrivals = generateArrivals(*parsed_stream);
+            for (const std::string &stream : flags.grid.workloads) {
+                const StreamSpec parsed_stream = *parseStreamSpec(stream);
+                auto arrivals = generateArrivals(parsed_stream);
                 if (!arrivals.ok()) {
                     std::cerr << argv[0] << ": "
                               << arrivals.status().toString() << "\n";
                     return 1;
                 }
-                traces += streamTraceText(*parsed_stream, *arrivals);
+                traces += streamTraceText(parsed_stream, *arrivals);
             }
             const Status written = writeFileAtomic(trace_file, traces);
             if (!written.ok()) {
@@ -233,9 +240,12 @@ main(int argc, char **argv)
                 return 1;
             }
             out << "wrote " << trace_file << "\n";
-        }
+            return 0;
+        };
 
         auto print_lines = [&](const GridReport &report) {
+            if (!trace_file.empty())
+                trace_code = write_trace();
             for (const auto &job : report.results) {
                 out << job.workload << " on " << job.machine << " via "
                     << job.algorithm << ": ";
@@ -253,8 +263,10 @@ main(int argc, char **argv)
                     << job.preemptions << "\n";
             }
         };
-        return runGridAndReport(argv[0], usage, flags, ReportOptions(),
-                                true, print_lines);
+        const int code = runGridAndReport(argv[0], usage, flags,
+                                          ReportOptions(), true,
+                                          print_lines);
+        return code != 0 ? code : trace_code;
     }
 
     // The run is the one cell of a grid, so it gets the grid's job

@@ -82,8 +82,6 @@ runGridAndReport(const char *argv0, UsageFn usage,
         grid.faults = &flags.faults;
     if (!grid.hosts.empty())
         grid.dist = &flags.dist;
-    if (grid.resume && grid.journalPath.empty())
-        usage(argv0, "--resume requires --journal");
     std::string error;
     if (!validateGrid(grid, &error))
         usage(argv0, error);

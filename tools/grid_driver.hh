@@ -58,7 +58,8 @@ bool parseGridFlag(const char *argv0, UsageFn usage,
 
 /**
  * Run @p flags.grid and write its outputs: validate it (usage error
- * on an invalid grid or --resume without --journal), install the
+ * on an invalid grid, --resume without --journal, or a journal
+ * written for a different grid), install the
  * signal handlers, run it, hand the report to @p print (may be empty),
  * write the JSON report ("-" = stdout; a file is written atomically
  * under the "report" fault scope and announced on stdout when
